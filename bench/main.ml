@@ -642,7 +642,7 @@ let e15 () =
     (Minresource_red.min_units red = 2 && Minresource_red.min_units red2 = 3 && !matches = total)
 
 (* ------------------------------------------------------------------ *)
-(* E16: large-DAG LP relaxation - sparse vs dense engine              *)
+(* E16: large-DAG LP relaxation - revised engine vs dense oracle      *)
 
 let e16 () =
   section "E16" "Large layered DAG: revised simplex vs dense tableau on the makespan LP";
@@ -658,48 +658,44 @@ let e16 () =
   Format.printf "instance: %d jobs -> LP with %d variables, %d constraints@." (Problem.n_jobs p)
     vars constrs;
   let budgets = [ 2; 5; 9 ] in
+  let lps = List.map (fun b -> Lp_relax.makespan_rows tr ~budget:b) budgets in
   (* pure engine comparison: the float warm-start advisor would hand
      both engines the same crash basis, which only masks the tableau
      work we are measuring *)
   let warm0 = !Rtt_lp.Simplex.warmstart_enabled in
   Rtt_lp.Simplex.warmstart_enabled := false;
-  let engine0 = !Rtt_lp.Simplex.engine in
-  let run eng =
-    Rtt_lp.Simplex.engine := eng;
+  let run minimize pivot_count =
+    let p0 = pivot_count () in
     let t0 = Unix.gettimeofday () in
-    let sols = List.map (fun b -> Lp_relax.min_makespan tr ~budget:b) budgets in
+    let outs = List.map (fun (n_vars, rows, objective) -> minimize ~n_vars rows ~objective) lps in
     let dt = Unix.gettimeofday () -. t0 in
-    (sols, dt)
+    (outs, dt, pivot_count () - p0)
   in
-  let pivots_before eng =
-    Rtt_lp.Simplex.engine := eng;
-    Rtt_lp.Simplex.pivot_count ()
+  let sparse_outs, sparse_t, sparse_pivots =
+    run Rtt_lp.Simplex.minimize_sparse Rtt_lp.Simplex.pivot_count
   in
-  let sp0 = pivots_before Rtt_lp.Simplex.Sparse in
-  let sparse_sols, sparse_t = run Rtt_lp.Simplex.Sparse in
-  let sparse_pivots = Rtt_lp.Simplex.pivot_count () - sp0 in
-  let dn0 = pivots_before Rtt_lp.Simplex.Dense in
-  let dense_sols, dense_t = run Rtt_lp.Simplex.Dense in
-  let dense_pivots = Rtt_lp.Simplex.pivot_count () - dn0 in
-  Rtt_lp.Simplex.engine := engine0;
+  let dense_outs, dense_t, dense_pivots =
+    run Rtt_lp_oracle.minimize_sparse Rtt_lp_oracle.pivot_count
+  in
   Rtt_lp.Simplex.warmstart_enabled := warm0;
   let same =
     List.for_all2
-      (fun (a : Lp_relax.solution) (b : Lp_relax.solution) ->
-        Rat.equal a.Lp_relax.makespan b.Lp_relax.makespan
-        && Rat.equal a.Lp_relax.budget_used b.Lp_relax.budget_used
-        && Array.for_all2 Rat.equal a.Lp_relax.flow b.Lp_relax.flow
-        && Array.for_all2 Rat.equal a.Lp_relax.times b.Lp_relax.times)
-      sparse_sols dense_sols
+      (fun a b ->
+        match (a, b) with
+        | ( Rtt_lp.Simplex.Optimal { objective = oa; solution = sa },
+            Rtt_lp.Simplex.Optimal { objective = ob; solution = sb } ) ->
+            Rat.equal oa ob && Array.for_all2 Rat.equal sa sb
+        | _ -> false)
+      sparse_outs dense_outs
   in
   let ratio = dense_t /. max 1e-9 sparse_t in
-  List.iteri
-    (fun i b ->
-      let s = List.nth sparse_sols i in
-      Format.printf "budget %d: LP makespan %s, budget used %s@." b
-        (Rat.to_string s.Lp_relax.makespan)
-        (Rat.to_string s.Lp_relax.budget_used))
-    budgets;
+  List.iter2
+    (fun b out ->
+      match out with
+      | Rtt_lp.Simplex.Optimal { objective; _ } ->
+          Format.printf "budget %d: LP makespan %s@." b (Rat.to_string objective)
+      | _ -> Format.printf "budget %d: LP not optimal@." b)
+    budgets sparse_outs;
   Format.printf
     "measured: sparse %.3fs (%d pivots) vs dense %.3fs (%d pivots) -> %.1fx; answers identical: %b@."
     sparse_t sparse_pivots dense_t dense_pivots ratio same;

@@ -81,8 +81,7 @@ let no_warmstart_arg =
   let doc =
     "Disable the float-guided warm start of the exact simplex; every LP then runs the full \
      two-phase method from scratch. Results are identical either way — this is a performance \
-     toggle for benchmarking and for auditing the float-free path. Equivalent to setting \
-     RTT_LP_WARMSTART=0."
+     toggle for benchmarking and for auditing the float-free path."
   in
   let term = Arg.(value & flag & info [ "no-float-warmstart" ] ~doc) in
   Term.(const (fun off -> if off then Rtt_lp.Simplex.warmstart_enabled := false) $ term)

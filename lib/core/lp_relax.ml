@@ -57,10 +57,21 @@ let build (t : Transform.t) =
   let budget_expr = List.fold_left (fun acc i -> Linexpr.add acc (fx i)) Linexpr.zero outbound.(t.source) in
   (lp, fv, tv, fx, tx, budget_expr)
 
+(* The makespan LP: the common system plus the budget row; the
+   objective is T_sink. *)
+let makespan_lp (t : Transform.t) ~budget =
+  let lp, fv, tv, _fx, tx, budget_expr = build t in
+  Lp.add_le lp budget_expr (Linexpr.const (Rat.of_int budget));
+  (lp, fv, tv, tx t.sink, budget_expr)
+
 let dimensions (t : Transform.t) =
-  let lp, _fv, _tv, _fx, _tx, budget_expr = build t in
-  Lp.add_le lp budget_expr (Linexpr.const Rat.zero);
+  let lp, _fv, _tv, _obj, _budget_expr = makespan_lp t ~budget:0 in
   (Lp.n_vars lp, Lp.n_constraints lp)
+
+let makespan_rows (t : Transform.t) ~budget =
+  let lp, _fv, _tv, obj, _budget_expr = makespan_lp t ~budget in
+  let n = Lp.n_vars lp in
+  (n, Lp.rows lp, Lp.to_dense n obj)
 
 let extract (t : Transform.t) (s : Lp.solution) fv tv budget_expr =
   let flow = Array.map (fun v -> s.Lp.value v) fv in
@@ -69,9 +80,8 @@ let extract (t : Transform.t) (s : Lp.solution) fv tv budget_expr =
 
 let min_makespan (t : Transform.t) ~budget =
   if budget < 0 then invalid_arg "Lp_relax.min_makespan: negative budget";
-  let lp, fv, tv, _fx, tx, budget_expr = build t in
-  Lp.add_le lp budget_expr (Linexpr.const (Rat.of_int budget));
-  match Lp.minimize lp (tx t.sink) with
+  let lp, fv, tv, obj, budget_expr = makespan_lp t ~budget in
+  match Lp.minimize lp obj with
   | Lp.Optimal s -> extract t s fv tv budget_expr
   | Lp.Infeasible ->
       (* zero flow is always feasible, so this only happens when the

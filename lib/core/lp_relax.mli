@@ -28,8 +28,15 @@ val edge_duration : Transform.edge -> Rat.t -> Rat.t
 
 val dimensions : Transform.t -> int * int
 (** [(variables, constraints)] of the makespan LP for this transformed
-    DAG — the size of the system either simplex engine factorizes. Used
-    by the bench harness to report instance scale next to wall time. *)
+    DAG — the size of the system the simplex factorizes. Used by the
+    bench harness to report instance scale next to wall time. *)
+
+val makespan_rows :
+  Transform.t -> budget:int -> int * Rtt_lp.Simplex.sparse_constr list * Rat.t array
+(** [(n_vars, rows, objective)]: the makespan LP exactly as
+    {!min_makespan} hands it to {!Rtt_lp.Simplex.minimize_sparse}, for
+    running the same system through another solver (the bench's and
+    the tests' dense oracle). *)
 
 val min_makespan : Transform.t -> budget:int -> solution
 (** Minimize [T_sink] under resource budget. Always feasible (zero flow).

@@ -39,11 +39,7 @@ let reset_stats () =
   appended := 0;
   peak := 0
 
-let eta_limit =
-  ref
-    (match Sys.getenv_opt "RTT_LP_ETA_MAX" with
-    | Some s -> ( match int_of_string_opt s with Some n when n >= 0 -> n | _ -> 32)
-    | None -> 32)
+let eta_limit = ref 32
 
 let create m =
   { m; base = [||]; perm = None; upd = [||]; n_upd = 0; scratch = Array.make m Rat.zero }

@@ -52,10 +52,9 @@ val should_refactor : t -> bool
     [max !eta_limit (m / 4)] and a {!refactor} would pay for itself. *)
 
 val eta_limit : int ref
-(** Update-eta threshold floor for {!should_refactor}. Defaults to 32;
-    initialized from the environment variable [RTT_LP_ETA_MAX] when
-    set. Tests drop it to 0 to force a refactorization after (almost)
-    every pivot. *)
+(** Update-eta threshold floor for {!should_refactor}. Defaults to 32.
+    Tests drop it to 0 to force a refactorization after (almost) every
+    pivot. *)
 
 val refactor : t -> col_of:(int -> svec) -> basis:int array -> bool
 (** [refactor t ~col_of ~basis] discards the eta file and rebuilds a

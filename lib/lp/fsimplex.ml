@@ -158,10 +158,11 @@ let solve ~rows ~n_real ~objective =
         end
   end
 
-(* Sparse-input entry for the revised exact engine: build the same
-   dense float matrix the dense engine would hand to [solve] — the
-   rationals are identical, so the doubles are identical and the two
-   engines receive the same advice — from column-wise standard form. *)
+(* Sparse-input entry for the revised exact engine: build, from
+   column-wise standard form, the dense float matrix [solve] takes —
+   the same doubles the dense-row standard form converts to, so the
+   dense test oracle, which calls [solve] directly, gets the same
+   advice. *)
 let solve_cols ~m ~n_real ~col ~rhs ~objective =
   let rows = Array.make_matrix m (n_real + 1) 0.0 in
   for j = 0 to n_real - 1 do

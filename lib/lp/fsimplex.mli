@@ -2,7 +2,7 @@
 
     The exact solver converts its standard-form rows to doubles, lets
     this module run a capped two-phase simplex on them — with the same
-    Bland pivot rule and tie-breaks as the exact solver's default, so a
+    Bland pivot rule and tie-breaks as the exact solver, so a
     well-tracked float run lands on the very basis the exact solve
     would reach — and crash-starts from the reported basis after
     re-validating it in rational arithmetic. Every answer here is advisory; [None] means
@@ -29,5 +29,6 @@ val solve_cols :
   (int * int) array option
 (** [solve_cols] is {!solve} fed from column-wise sparse standard form
     ([col j] lists column [j]'s (row, value) nonzeros): it converts the
-    exact rationals to the same doubles the dense path would produce,
-    so both exact engines receive identical advice. *)
+    exact rationals to the same doubles the dense rows would produce,
+    so the exact engine and its dense test oracle receive identical
+    advice. *)

@@ -46,15 +46,17 @@ let to_dense n e =
    the shape Simplex.sparse_constr requires. *)
 let to_sparse n e = List.filter (fun (v, _) -> v < n) (Linexpr.terms e)
 
-let solve direction lp obj =
+let rows lp =
   let n = lp.n in
   (* constraints are stored newest-first; rev_map restores build order *)
-  let constraints =
-    List.rev_map
-      (fun { expr; relation; bound } ->
-        { Simplex.sp_terms = to_sparse n expr; sp_relation = relation; sp_rhs = bound })
-      lp.constrs
-  in
+  List.rev_map
+    (fun { expr; relation; bound } ->
+      { Simplex.sp_terms = to_sparse n expr; sp_relation = relation; sp_rhs = bound })
+    lp.constrs
+
+let solve direction lp obj =
+  let n = lp.n in
+  let constraints = rows lp in
   let obj_dense = to_dense n obj in
   let obj_const = Linexpr.constant obj in
   let result =

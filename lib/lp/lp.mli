@@ -39,6 +39,11 @@ val to_sparse : int -> Linexpr.t -> (int * Rat.t) list
     Solves go through this path, so the constraint matrix is never
     materialized densely. *)
 
+val rows : t -> Simplex.sparse_constr list
+(** The constraints in the order they were added, as the sparse rows
+    {!minimize} and {!maximize} hand to {!Simplex} — for feeding the
+    same system to another solver. *)
+
 type solution = { objective : Rat.t; value : var -> Rat.t; expr_value : Linexpr.t -> Rat.t }
 
 type outcome = Optimal of solution | Infeasible | Unbounded

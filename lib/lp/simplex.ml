@@ -2,7 +2,6 @@ open Rtt_num
 open Rtt_budget
 
 type relation = Le | Ge | Eq
-type constr = { coeffs : Rat.t array; relation : relation; rhs : Rat.t }
 
 type outcome =
   | Optimal of { objective : Rat.t; solution : Rat.t array }
@@ -12,34 +11,7 @@ type outcome =
 let infeasible_site = "lp.infeasible"
 let warmstart_reject_site = "lp.warmstart.reject"
 
-let warmstart_enabled =
-  ref
-    (match Sys.getenv_opt "RTT_LP_WARMSTART" with
-    | Some ("0" | "false" | "no" | "off") -> false
-    | _ -> true)
-
-type pricing = Dantzig | Bland
-
-(* Bland is the default because it reproduces the seed solver's pivot
-   sequence exactly — on LPs with several optimal vertices, Dantzig can
-   (correctly) answer with a different one, and downstream consumers
-   treat the Bland vertex as the canonical result. On the paper's small
-   dense instances Dantzig also measures no faster (its full pricing
-   scan costs as much as the pivots it saves), so the default trades
-   nothing; see EXPERIMENTS.md. *)
-let pricing =
-  ref (match Sys.getenv_opt "RTT_LP_PRICING" with Some "dantzig" -> Dantzig | _ -> Bland)
-
-(* Two interchangeable engines compute every solve: the original dense
-   tableau, and the revised simplex over sparse columns with an
-   eta-file basis factorization ({!Basis_factor}). Both price with the
-   same rule over the same exact rationals, so they make identical
-   pivot decisions and return bit-identical outcomes — the dense
-   engine is kept as the differential oracle (RTT_LP_ENGINE=dense). *)
-type engine = Dense | Sparse
-
-let engine = ref (match Sys.getenv_opt "RTT_LP_ENGINE" with Some "dense" -> Dense | _ -> Sparse)
-let engine_name () = match !engine with Dense -> "dense" | Sparse -> "sparse"
+let warmstart_enabled = ref true
 
 (* cumulative observability counters, read by the bench harness *)
 let pivots = ref 0
@@ -64,8 +36,8 @@ let factor_stats () =
 let lp_stats_json () =
   let f = factor_stats () in
   Printf.sprintf
-    "{\"engine\":\"%s\",\"pivots\":%d,\"warm_accepted\":%d,\"warm_rejected\":%d,\"refactors\":%d,\"etas\":%d,\"eta_peak\":%d,\"nnz\":%d,\"cells\":%d}"
-    (engine_name ()) !pivots !warm_accepted !warm_rejected f.refactorizations f.etas f.eta_peak
+    "{\"pivots\":%d,\"warm_accepted\":%d,\"warm_rejected\":%d,\"refactors\":%d,\"etas\":%d,\"eta_peak\":%d,\"nnz\":%d,\"cells\":%d}"
+    !pivots !warm_accepted !warm_rejected f.refactorizations f.etas f.eta_peak
     f.nnz f.cells
 
 (* The counters are plain process-global refs, so a forked child (a
@@ -81,12 +53,13 @@ let reset_stats () =
   Basis_factor.reset_stats ()
 
 (* Test instrumentation: when [trace_pivots] is on, every pivot logs a
-   pair identifying the decision in engine-independent coordinates —
-   (entering column, leaving column) for pricing and drive-out pivots,
-   (column, -(row+1)) for warm-start crash pivots (a crash pivot has no
-   leaving variable; the standard-form row pins it down instead). The
-   differential suite runs both engines with tracing on and demands the
-   logs match entry for entry. *)
+   pair identifying the decision in representation-independent
+   coordinates — (entering column, leaving column) for pricing and
+   drive-out pivots, (column, -(row+1)) for warm-start crash pivots (a
+   crash pivot has no leaving variable; the standard-form row pins it
+   down instead). The differential suite runs this engine and the dense
+   tableau oracle with tracing on and demands the logs match entry for
+   entry. *)
 let trace_pivots = ref false
 let pivot_log : (int * int) list ref = ref []
 let log_pivot a b = if !trace_pivots then pivot_log := (a, b) :: !pivot_log
@@ -108,7 +81,7 @@ let last_basis () = !captured_basis
 let set_basis_hint b = basis_hint := Some b
 let clear_basis_hint () = basis_hint := None
 
-(* debug/test representation; both engines capture pairs in ascending
+(* debug/test representation; pairs are captured in ascending
    standard-form row order, so equal bases print equal strings *)
 let basis_repr b =
   let buf = Buffer.create 64 in
@@ -116,419 +89,30 @@ let basis_repr b =
   Array.iter (fun (i, c) -> Buffer.add_string buf (Printf.sprintf "(%d,%d)" i c)) b.b_pairs;
   Buffer.contents buf
 
-(* The tableau holds m rows of length [width]; column [width - 1] is the
-   right-hand side. [z] is the objective row maintained alongside, with
-   z.(width - 1) = -(current objective value). Basic columns always read
-   as a unit column, and b >= 0 is an invariant of every pivot. *)
-
-(* Gauss-Jordan step over the constraint rows only (no objective row);
-   also the unit of work of the warm-start crash, so it ticks fuel and
-   counts as a pivot *)
-let pivot_rows tableau ~row ~col ~width =
-  incr pivots;
-  let m = Array.length tableau in
-  let prow = tableau.(row) in
-  let p = prow.(col) in
-  for j = 0 to width - 1 do
-    if not (Rat.is_zero prow.(j)) then prow.(j) <- Rat.div prow.(j) p
-  done;
-  for i = 0 to m - 1 do
-    if i <> row then begin
-      let f = tableau.(i).(col) in
-      if not (Rat.is_zero f) then
-        for j = 0 to width - 1 do
-          tableau.(i).(j) <- Rat.sub tableau.(i).(j) (Rat.mul f prow.(j))
-        done
-    end
-  done
-
-let pivot tableau z basis ~row ~col ~width =
-  pivot_rows tableau ~row ~col ~width;
-  let prow = tableau.(row) in
-  let f = z.(col) in
-  if not (Rat.is_zero f) then
-    for j = 0 to width - 1 do
-      z.(j) <- Rat.sub z.(j) (Rat.mul f prow.(j))
-    done;
-  basis.(row) <- col
-
-(* Dantzig pricing (most negative reduced cost, lowest index on ties)
-   with Bland's rule as the anti-cycling fallback: after [stall_limit]
-   consecutive degenerate pivots the loop switches to Bland's rule —
-   which provably escapes any degenerate vertex in finitely many pivots
-   — and switches back on the next strict objective improvement. Each
-   Bland segment terminates and each strict improvement reaches a basis
-   no earlier iteration visited, so termination stays guaranteed. *)
-let stall_limit = 24
-
-let run_phase tableau z basis ~width =
-  let m = Array.length tableau in
-  let rhs = width - 1 in
-  let degen = ref 0 in
-  let rec loop () =
-    Budget.tick ~stage:"simplex";
-    let entering = ref (-1) in
-    if !pricing = Bland || !degen > stall_limit then begin
-      (* Bland: lowest-index column with negative reduced cost *)
-      try
-        for j = 0 to width - 2 do
-          if Rat.(z.(j) < Rat.zero) then begin
-            entering := j;
-            raise Exit
-          end
-        done
-      with Exit -> ()
-    end
-    else begin
-      let best = ref Rat.zero in
-      for j = 0 to width - 2 do
-        if Rat.(z.(j) < !best) then begin
-          entering := j;
-          best := z.(j)
-        end
-      done
-    end;
-    if !entering < 0 then `Optimal
-    else begin
-      let col = !entering in
-      let best_row = ref (-1) in
-      let best_ratio = ref Rat.zero in
-      for i = 0 to m - 1 do
-        let a = tableau.(i).(col) in
-        if Rat.(a > Rat.zero) then begin
-          let ratio = Rat.div tableau.(i).(rhs) a in
-          if
-            !best_row < 0
-            || Rat.(ratio < !best_ratio)
-            || (Rat.equal ratio !best_ratio && basis.(i) < basis.(!best_row))
-          then begin
-            best_row := i;
-            best_ratio := ratio
-          end
-        end
-      done;
-      if !best_row < 0 then `Unbounded
-      else begin
-        log_pivot col basis.(!best_row);
-        pivot tableau z basis ~row:!best_row ~col ~width;
-        if Rat.is_zero !best_ratio then incr degen else degen := 0;
-        loop ()
-      end
-    end
-  in
-  loop ()
-
 (* ------------------------------------------------------------------ *)
-(* Standard form, shared by the exact paths and the float warm start:
-   m rows of [n_vars] originals then one slack/surplus per inequality,
-   right-hand side (>= 0 after sign normalization) in the last column.
-   Artificial columns are NOT part of the standard form — the two-phase
-   path adds them privately and drops them again after phase 1.         *)
+(* Revised simplex over sparse columns.
 
-type std = { n_vars : int; n_slack : int; rows : Rat.t array array }
-
-let build_std ~n_vars constraints =
-  let constraints = Array.of_list constraints in
-  let m = Array.length constraints in
-  let n_slack =
-    Array.fold_left (fun acc c -> match c.relation with Eq -> acc | Le | Ge -> acc + 1) 0 constraints
-  in
-  let n_real = n_vars + n_slack in
-  let rows = Array.make_matrix m (n_real + 1) Rat.zero in
-  let slack_idx = ref n_vars in
-  Array.iteri
-    (fun i c ->
-      let row = rows.(i) in
-      (* normalize to rhs >= 0 *)
-      let flip = Rat.(c.rhs < Rat.zero) in
-      let sgn x = if flip then Rat.neg x else x in
-      Array.iteri (fun j v -> if not (Rat.is_zero v) then row.(j) <- sgn v) c.coeffs;
-      row.(n_real) <- sgn c.rhs;
-      match c.relation with
-      | Eq -> ()
-      | Le ->
-          row.(!slack_idx) <- sgn Rat.one;
-          incr slack_idx
-      | Ge ->
-          row.(!slack_idx) <- sgn Rat.minus_one;
-          incr slack_idx)
-    constraints;
-  { n_vars; n_slack; rows }
-
-(* Phase 2 from a feasible tableau over real columns only: price the
-   objective out of the basic columns and run the pivot loop.
-   [orig_rows] maps each (compacted) tableau row back to its row in the
-   standard form and [std_rows] is the standard form's row count — on
-   an optimal exit the final basis is recorded in those coordinates so
-   a later solve of a same-shaped LP can crash from it. *)
-let solve_phase2 tableau basis ~n_vars ~width ~objective ~orig_rows ~std_rows =
-  let rhs = width - 1 in
-  let z = Array.make width Rat.zero in
-  for j = 0 to n_vars - 1 do
-    z.(j) <- objective.(j)
-  done;
-  Array.iteri
-    (fun i b ->
-      let cb = if b < n_vars then objective.(b) else Rat.zero in
-      if not (Rat.is_zero cb) then
-        for j = 0 to width - 1 do
-          z.(j) <- Rat.sub z.(j) (Rat.mul cb tableau.(i).(j))
-        done)
-    basis;
-  match run_phase tableau z basis ~width with
-  | `Unbounded -> Unbounded
-  | `Optimal ->
-      captured_basis :=
-        Some
-          {
-            b_rows = std_rows;
-            b_cols = width - 1;
-            b_pairs = Array.mapi (fun i b -> (orig_rows.(i), b)) basis;
-          };
-      let solution = Array.make n_vars Rat.zero in
-      Array.iteri (fun i b -> if b < n_vars then solution.(b) <- tableau.(i).(rhs)) basis;
-      Optimal { objective = Rat.neg z.(rhs); solution }
-
-(* ------------------------------------------------------------------ *)
-(* Full two-phase solve.                                               *)
-
-let solve_two_phase std ~objective =
-  let m = Array.length std.rows in
-  let n_real = std.n_vars + std.n_slack in
-  let n_total = n_real + m in
-  let width = n_total + 1 in
-  let rhs = n_total in
-  let tableau = Array.make_matrix m width Rat.zero in
-  let basis = Array.make m 0 in
-  Array.iteri
-    (fun i row ->
-      Array.blit row 0 tableau.(i) 0 n_real;
-      tableau.(i).(rhs) <- row.(n_real);
-      (* artificial variable for this row *)
-      tableau.(i).(n_real + i) <- Rat.one;
-      basis.(i) <- n_real + i)
-    std.rows;
-  let is_artificial j = j >= n_real && j < n_total in
-  (* Phase 1 objective row: minimize sum of artificials. Reduced costs:
-     c_j - sum of rows (c over artificials = 1, basis = artificials). *)
-  let z = Array.make width Rat.zero in
-  for j = 0 to width - 1 do
-    let colsum = Array.fold_left (fun acc row -> Rat.add acc row.(j)) Rat.zero tableau in
-    let cj = if is_artificial j then Rat.one else Rat.zero in
-    z.(j) <- Rat.sub (if j = rhs then Rat.zero else cj) colsum
-  done;
-  (match run_phase tableau z basis ~width with
-  | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
-  | `Optimal -> ());
-  let phase1_value = Rat.neg z.(rhs) in
-  if Rat.(phase1_value > Rat.zero) then Infeasible
-  else begin
-    (* Drive remaining artificials out of the basis where possible. *)
-    for i = 0 to m - 1 do
-      if is_artificial basis.(i) then begin
-        let found = ref (-1) in
-        (try
-           for j = 0 to n_real - 1 do
-             if not (Rat.is_zero tableau.(i).(j)) then begin
-               found := j;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        if !found >= 0 then begin
-          log_pivot !found basis.(i);
-          pivot tableau z basis ~row:i ~col:!found ~width
-        end
-        (* else: the row is all zeros over real columns — redundant; the
-           artificial stays basic at value 0, harmless if never entering *)
-      end
-    done;
-    (* Compact for phase 2: rows whose basic variable is still artificial
-       are redundant (all-zero over real columns after the drive-out
-       loop) and are dropped, and so are the artificial columns — they
-       would be dead weight in every subsequent pivot. *)
-    let keep_rows = List.filter (fun i -> not (is_artificial basis.(i))) (List.init m (fun i -> i)) in
-    let width2 = n_real + 1 in
-    let rhs2 = n_real in
-    let tableau2 =
-      Array.of_list
-        (List.map
-           (fun i -> Array.init width2 (fun j -> if j = rhs2 then tableau.(i).(rhs) else tableau.(i).(j)))
-           keep_rows)
-    in
-    let basis2 = Array.of_list (List.map (fun i -> basis.(i)) keep_rows) in
-    solve_phase2 tableau2 basis2 ~n_vars:std.n_vars ~width:width2 ~objective
-      ~orig_rows:(Array.of_list keep_rows) ~std_rows:m
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Warm start: verify/repair a float-guessed basis in exact arithmetic.
-
-   [pairs] maps row index -> candidate basic column. The tableau for
-   that basis is rebuilt from the standard form by exact Gauss-Jordan
-   pivots on precisely those entries. The guess is REJECTED (returning
-   [None], which routes the caller through the ordinary two-phase
-   solve) whenever a pivot entry is exactly zero, a row the floats
-   called redundant is not identically zero, or the crashed basic
-   solution is not primal feasible. A surviving basis is a proven
-   basic feasible solution, so phase 2 from it is exact regardless of
-   what the floats did. *)
-
-let crash_basis std ~objective pairs =
-  if Budget.probe ~site:warmstart_reject_site then None
-  else begin
-    let m = Array.length std.rows in
-    let n_real = std.n_vars + std.n_slack in
-    let width = n_real + 1 in
-    let rhs = width - 1 in
-    let tableau = Array.map Array.copy std.rows in
-    let assigned = Array.make m (-1) in
-    let in_basis = Array.make n_real false in
-    let used = Array.make n_real false in
-    let ok = ref true in
-    Array.iter
-      (fun (i, col) ->
-        if i < 0 || i >= m || col < 0 || col >= n_real || assigned.(i) >= 0 || in_basis.(col) then
-          ok := false
-        else begin
-          assigned.(i) <- col;
-          in_basis.(col) <- true
-        end)
-      pairs;
-    (* The basic solution is determined by the basis column SET, not by
-       which column the float tableau happened to pair with which row —
-       and that pairing need not be a valid Gauss-Jordan pivot order on
-       the original rows anyway. So eliminate row by row, preferring the
-       float's pairing when its entry is nonzero and falling back to any
-       unused basis column otherwise; for a nonsingular basis the Schur
-       complement stays nonsingular after every pivot, so a usable
-       column always exists and a dead end means the guess was bad. *)
-    if !ok then
-      Array.iter
-        (fun (i, _) ->
-          if !ok then begin
-            Budget.tick ~stage:"simplex";
-            let col = ref assigned.(i) in
-            if Rat.is_zero tableau.(i).(!col) then begin
-              col := -1;
-              (try
-                 for c = 0 to n_real - 1 do
-                   if in_basis.(c) && (not used.(c)) && not (Rat.is_zero tableau.(i).(c)) then begin
-                     col := c;
-                     raise Exit
-                   end
-                 done
-               with Exit -> ())
-            end;
-            if !col < 0 then ok := false
-            else begin
-              assigned.(i) <- !col;
-              used.(!col) <- true;
-              log_pivot !col (-(i + 1));
-              pivot_rows tableau ~row:i ~col:!col ~width
-            end
-          end)
-        pairs;
-    if not !ok then None
-    else begin
-      (* rows the floats dropped must vanish exactly, and the basic
-         solution must be feasible — both checked with zero tolerance *)
-      let keep = ref [] in
-      for i = m - 1 downto 0 do
-        if assigned.(i) >= 0 then begin
-          if Rat.(tableau.(i).(rhs) < Rat.zero) then ok := false;
-          keep := i :: !keep
-        end
-        else if not (Array.for_all Rat.is_zero tableau.(i)) then ok := false
-      done;
-      if not !ok then None
-      else begin
-        let rows = Array.of_list (List.map (fun i -> tableau.(i)) !keep) in
-        let basis = Array.of_list (List.map (fun i -> assigned.(i)) !keep) in
-        Some
-          (solve_phase2 rows basis ~n_vars:std.n_vars ~width ~objective
-             ~orig_rows:(Array.of_list !keep) ~std_rows:m)
-      end
-    end
-  end
-
-let try_warm_start std ~objective =
-  let n_real = std.n_vars + std.n_slack in
-  let frows = Array.map (Array.map Rat.to_float) std.rows in
-  let fobj =
-    Array.init n_real (fun j -> if j < std.n_vars then Rat.to_float objective.(j) else 0.0)
-  in
-  match Fsimplex.solve ~rows:frows ~n_real ~objective:fobj with
-  | None -> None
-  | Some pairs -> crash_basis std ~objective pairs
-
-(* ------------------------------------------------------------------ *)
-
-let minimize_tableau ~n_vars constraints ~objective =
-  if Array.length objective <> n_vars then invalid_arg "Simplex.minimize: objective size";
-  List.iter
-    (fun c -> if Array.length c.coeffs <> n_vars then invalid_arg "Simplex.minimize: constraint size")
-    constraints;
-  let std = build_std ~n_vars constraints in
-  (* An explicitly installed basis hint (a previous optimal basis of a
-     same-shaped LP — set by the session layer and the Pareto sweep) is
-     consumed one-shot and tried before the float advisor. It goes
-     through the same exact crash/verify discipline, so like the float
-     basis it can only save pivots, never change the outcome. *)
-  let hint =
-    match !basis_hint with
-    | None -> None
-    | Some b ->
-        basis_hint := None;
-        if b.b_rows = Array.length std.rows && b.b_cols = std.n_vars + std.n_slack then
-          Some b.b_pairs
-        else None
-  in
-  match (match hint with Some pairs -> crash_basis std ~objective pairs | None -> None) with
-  | Some outcome ->
-      incr warm_accepted;
-      outcome
-  | None ->
-      if Option.is_some hint then incr warm_rejected;
-      if !warmstart_enabled then begin
-        match try_warm_start std ~objective with
-        | Some outcome ->
-            incr warm_accepted;
-            outcome
-        | None ->
-            incr warm_rejected;
-            solve_two_phase std ~objective
-      end
-      else solve_two_phase std ~objective
-
-(* ------------------------------------------------------------------ *)
-(* Revised simplex: the same decisions over sparse data structures.
-
-   The dense engine above materializes the full tableau and rewrites it
-   on every pivot — O(m · width) per pivot no matter how sparse the LP.
-   The revised engine keeps the standard form as sparse columns and
-   maintains only a factorization of the basis inverse
-   ({!Basis_factor}): one BTRAN prices every column, one FTRAN produces
-   the entering column for the ratio test, and a pivot appends a single
-   eta — work proportional to nonzeros. In exact rational arithmetic
+   The standard form is kept as sparse columns and only a factorization
+   of the basis inverse is maintained ({!Basis_factor}): one BTRAN
+   prices every column, one FTRAN produces the entering column for the
+   ratio test, and a pivot appends a single eta — work proportional to
+   nonzeros, never O(m · width) per pivot. In exact rational arithmetic
    the FTRANed/BTRANed vectors equal the dense tableau's columns and
-   rows bit for bit, so pricing, ratio tests, tie-breaks and the
-   degenerate-stall switch make identical choices and the two engines
-   produce identical pivot sequences, bases, and outcomes.
+   rows bit for bit, which is what lets the test suite check every
+   pivot against a dense-tableau oracle.
 
-   One deliberate representational difference: after phase 1 the dense
-   engine compacts away redundant rows (rows whose artificial stays
-   basic at 0, identically zero over real columns). The revised engine
-   keeps them, pinned: such a row has w_i = 0 for every real column, so
-   it never wins a ratio test, contributes nothing to pricing (its
-   basic cost is 0), and stays zero under every later eta — the same
-   pivots happen either way. *)
+   After phase 1, a redundant row (its artificial stays basic at 0, and
+   it is identically zero over real columns) stays in place, pinned:
+   it has w_i = 0 for every real column, so it never wins a ratio test,
+   contributes nothing to pricing (its basic cost is 0), and stays zero
+   under every later eta. Dropping it would change no pivot. *)
 
 type sparse_constr = { sp_terms : (int * Rat.t) list; sp_relation : relation; sp_rhs : Rat.t }
 
 (* Standard form with the constraint matrix held column-wise and
-   sparse; identical content to {!std} (same sign normalization, same
-   slack-column order), different representation. *)
+   sparse: [s_vars] original columns then one slack/surplus column per
+   inequality, in row order, right-hand side sign-normalized to >= 0.
+   Artificial columns are not stored; {!s_col_of} synthesizes them. *)
 type sstd = {
   s_vars : int;
   s_slack : int;
@@ -549,7 +133,7 @@ let build_sstd ~n_vars sconstrs =
   let slack_idx = ref n_vars in
   Array.iteri
     (fun i c ->
-      (* normalize to rhs >= 0, exactly as build_std does *)
+      (* normalize to rhs >= 0 *)
       let flip = Rat.(c.sp_rhs < Rat.zero) in
       let sgn x = if flip then Rat.neg x else x in
       List.iter
@@ -593,19 +177,19 @@ let maybe_refactor bf sstd basis =
     assert ok
   end
 
-(* The pricing/ratio/pivot loop, mirroring {!run_phase} decision for
-   decision. [cost j] is the per-column objective coefficient
-   (artificials included during phase 1); [n_price] bounds the pricing
-   scan — n_total in phase 1 (the dense engine scans artificial columns
-   too, and a driven-out artificial can legally re-enter), n_real in
+(* The pricing/ratio/pivot loop under Bland's rule: the lowest-index
+   column with a negative reduced cost enters, and the ratio test breaks
+   ties by the lowest-index leaving column, so no basis repeats.
+   [cost j] is the per-column objective coefficient (artificials
+   included during phase 1); [n_price] bounds the pricing scan — n_total
+   in phase 1 (a driven-out artificial can legally re-enter), n_real in
    phase 2. Basic columns are skipped rather than priced: their reduced
-   cost is exactly 0, which neither rule ever selects. *)
-let rsolve_phase bf sstd ~basis ~in_basis ~x ~cost ~n_price =
+   cost is exactly 0, which the rule never selects. *)
+let run_phase bf sstd ~basis ~in_basis ~x ~cost ~n_price =
   let m = sstd.s_m in
   let n_real = sstd.s_vars + sstd.s_slack in
   let y = Array.make m Rat.zero in
   let w = Array.make m Rat.zero in
-  let degen = ref 0 in
   let rec loop () =
     Budget.tick ~stage:"simplex";
     (* y = Tᵀ c_B: one BTRAN prices every column *)
@@ -613,34 +197,19 @@ let rsolve_phase bf sstd ~basis ~in_basis ~x ~cost ~n_price =
       y.(i) <- cost basis.(i)
     done;
     Basis_factor.btran bf y;
-    (* the dense engine's z.(j), computed on demand *)
     let reduced j =
       if j < n_real then Rat.sub (cost j) (dot_col y sstd.s_cols.(j))
       else Rat.sub (cost j) y.(j - n_real)
     in
     let entering = ref (-1) in
-    if !pricing = Bland || !degen > stall_limit then begin
-      try
-        for j = 0 to n_price - 1 do
-          if (not in_basis.(j)) && Rat.(reduced j < Rat.zero) then begin
-            entering := j;
-            raise Exit
-          end
-        done
-      with Exit -> ()
-    end
-    else begin
-      let best = ref Rat.zero in
-      for j = 0 to n_price - 1 do
-        if not in_basis.(j) then begin
-          let d = reduced j in
-          if Rat.(d < !best) then begin
-            entering := j;
-            best := d
-          end
-        end
-      done
-    end;
+    (try
+       for j = 0 to n_price - 1 do
+         if (not in_basis.(j)) && Rat.(reduced j < Rat.zero) then begin
+           entering := j;
+           raise Exit
+         end
+       done
+     with Exit -> ());
     if !entering < 0 then `Optimal
     else begin
       let col = !entering in
@@ -668,7 +237,6 @@ let rsolve_phase bf sstd ~basis ~in_basis ~x ~cost ~n_price =
         let theta = !best_ratio in
         log_pivot col basis.(r);
         incr pivots;
-        (* what the dense pivot does to the rhs column *)
         for i = 0 to m - 1 do
           if i <> r && not (Rat.is_zero w.(i)) then x.(i) <- Rat.sub x.(i) (Rat.mul w.(i) theta)
         done;
@@ -678,18 +246,16 @@ let rsolve_phase bf sstd ~basis ~in_basis ~x ~cost ~n_price =
         in_basis.(col) <- true;
         basis.(r) <- col;
         maybe_refactor bf sstd basis;
-        if Rat.is_zero theta then incr degen else degen := 0;
         loop ()
       end
     end
   in
   loop ()
 
-(* On an optimal exit, capture the basis (same coordinates as the dense
-   engine: standard-form rows and columns, so hints flow freely between
-   engines) and assemble the outcome. The objective is c_B · x_B, which
-   the dense engine's maintained -z.(rhs) equals exactly. *)
-let roptimal sstd ~objective ~basis ~x =
+(* On an optimal exit, capture the basis in standard-form rows and
+   columns (the coordinates a later hint is checked against) and
+   assemble the outcome; the objective is c_B · x_B. *)
+let optimal sstd ~objective ~basis ~x =
   let m = sstd.s_m in
   let n_real = sstd.s_vars + sstd.s_slack in
   let pairs = ref [] in
@@ -707,14 +273,14 @@ let roptimal sstd ~objective ~basis ~x =
   done;
   Optimal { objective = !obj; solution }
 
-let rphase2 bf sstd ~objective ~basis ~in_basis ~x =
+let phase2 bf sstd ~objective ~basis ~in_basis ~x =
   let cost j = if j < sstd.s_vars then objective.(j) else Rat.zero in
   let n_real = sstd.s_vars + sstd.s_slack in
-  match rsolve_phase bf sstd ~basis ~in_basis ~x ~cost ~n_price:n_real with
+  match run_phase bf sstd ~basis ~in_basis ~x ~cost ~n_price:n_real with
   | `Unbounded -> Unbounded
-  | `Optimal -> roptimal sstd ~objective ~basis ~x
+  | `Optimal -> optimal sstd ~objective ~basis ~x
 
-let rsolve_two_phase sstd ~objective =
+let solve_two_phase sstd ~objective =
   let m = sstd.s_m in
   let n_real = sstd.s_vars + sstd.s_slack in
   let n_total = n_real + m in
@@ -726,7 +292,7 @@ let rsolve_two_phase sstd ~objective =
   let x = Array.copy sstd.s_rhs in
   let bf = Basis_factor.create m in
   let cost1 j = if j < n_real then Rat.zero else Rat.one in
-  (match rsolve_phase bf sstd ~basis ~in_basis ~x ~cost:cost1 ~n_price:n_total with
+  (match run_phase bf sstd ~basis ~in_basis ~x ~cost:cost1 ~n_price:n_total with
   | `Unbounded -> assert false (* phase-1 objective is bounded below by 0 *)
   | `Optimal -> ());
   let phase1_value = ref Rat.zero in
@@ -772,13 +338,23 @@ let rsolve_two_phase sstd ~objective =
         (* else: redundant row; the artificial stays basic at 0 *)
       end
     done;
-    rphase2 bf sstd ~objective ~basis ~in_basis ~x
+    phase2 bf sstd ~objective ~basis ~in_basis ~x
   end
 
-(* Warm-start crash, revised: the same verify/repair discipline as
-   {!crash_basis}, but each Gauss-Jordan pivot becomes an eta append
-   and tableau entries are read through the factorization on demand. *)
-let rcrash sstd ~objective pairs =
+(* ------------------------------------------------------------------ *)
+(* Warm start: verify/repair a guessed basis in exact arithmetic.
+
+   [pairs] maps row index -> candidate basic column, from the float
+   advisor or a basis hint. The basis is rebuilt from the standard form
+   by exact pivots on those entries, each an eta append, with tableau
+   entries read through the factorization on demand. The guess is
+   REJECTED (returning [None], which routes the caller through the
+   ordinary two-phase solve) whenever a pivot entry is exactly zero, a
+   row the guess called redundant is not identically zero, or the
+   crashed basic solution is not primal feasible. A surviving basis is
+   a proven basic feasible solution, so phase 2 from it is exact
+   regardless of where the guess came from. *)
+let crash_basis sstd ~objective pairs =
   if Budget.probe ~site:warmstart_reject_site then None
   else begin
     let m = sstd.s_m in
@@ -799,6 +375,14 @@ let rcrash sstd ~objective pairs =
     let bf = Basis_factor.create m in
     let rho = Array.make m Rat.zero in
     let w = Array.make m Rat.zero in
+    (* The basic solution is determined by the basis column SET, not by
+       which column the guess happened to pair with which row — and that
+       pairing need not be a valid pivot order on the original rows
+       anyway. So eliminate row by row, preferring the guessed pairing
+       when its entry is nonzero and falling back to any unused basis
+       column otherwise; for a nonsingular basis the Schur complement
+       stays nonsingular after every pivot, so a usable column always
+       exists and a dead end means the guess was bad. *)
     if !ok then
       Array.iter
         (fun (i, _) ->
@@ -836,9 +420,8 @@ let rcrash sstd ~objective pairs =
     else begin
       let x = Array.copy sstd.s_rhs in
       Basis_factor.ftran bf x;
-      (* the dense checks, zero tolerance: assigned rows must be primal
-         feasible, unassigned rows identically zero (rhs and every real
-         column) *)
+      (* zero tolerance: assigned rows must be primal feasible,
+         unassigned rows identically zero (rhs and every real column) *)
       for i = m - 1 downto 0 do
         if assigned.(i) >= 0 then begin
           if Rat.(x.(i) < Rat.zero) then ok := false
@@ -866,12 +449,12 @@ let rcrash sstd ~objective pairs =
         for i = 0 to m - 1 do
           if assigned.(i) < 0 then in_basis.(n_real + i) <- true
         done;
-        Some (rphase2 bf sstd ~objective ~basis ~in_basis ~x)
+        Some (phase2 bf sstd ~objective ~basis ~in_basis ~x)
       end
     end
   end
 
-let rtry_warm_start sstd ~objective =
+let try_warm_start sstd ~objective =
   let n_real = sstd.s_vars + sstd.s_slack in
   match
     Fsimplex.solve_cols ~m:sstd.s_m ~n_real
@@ -880,10 +463,15 @@ let rtry_warm_start sstd ~objective =
       ~objective:(fun j -> if j < sstd.s_vars then Rat.to_float objective.(j) else 0.0)
   with
   | None -> None
-  | Some pairs -> rcrash sstd ~objective pairs
+  | Some pairs -> crash_basis sstd ~objective pairs
 
 let minimize_sstd sstd ~objective =
   let n_real = sstd.s_vars + sstd.s_slack in
+  (* An explicitly installed basis hint (a previous optimal basis of a
+     same-shaped LP — set by the session layer and the Pareto sweep) is
+     consumed one-shot and tried before the float advisor. It goes
+     through the same exact crash/verify discipline, so like the float
+     basis it can only save pivots, never change the outcome. *)
   let hint =
     match !basis_hint with
     | None -> None
@@ -891,25 +479,25 @@ let minimize_sstd sstd ~objective =
         basis_hint := None;
         if b.b_rows = sstd.s_m && b.b_cols = n_real then Some b.b_pairs else None
   in
-  match (match hint with Some pairs -> rcrash sstd ~objective pairs | None -> None) with
+  match (match hint with Some pairs -> crash_basis sstd ~objective pairs | None -> None) with
   | Some outcome ->
       incr warm_accepted;
       outcome
   | None ->
       if Option.is_some hint then incr warm_rejected;
       if !warmstart_enabled then begin
-        match rtry_warm_start sstd ~objective with
+        match try_warm_start sstd ~objective with
         | Some outcome ->
             incr warm_accepted;
             outcome
         | None ->
             incr warm_rejected;
-            rsolve_two_phase sstd ~objective
+            solve_two_phase sstd ~objective
       end
-      else rsolve_two_phase sstd ~objective
+      else solve_two_phase sstd ~objective
 
 (* ------------------------------------------------------------------ *)
-(* Entry points: representation conversion + engine dispatch.          *)
+(* Entry points.                                                       *)
 
 let check_sparse ~n_vars sconstrs =
   List.iter
@@ -924,54 +512,16 @@ let check_sparse ~n_vars sconstrs =
         c.sp_terms)
     sconstrs
 
-let dense_of_sparse ~n_vars sconstrs =
-  List.map
-    (fun c ->
-      let coeffs = Array.make n_vars Rat.zero in
-      List.iter (fun (v, x) -> coeffs.(v) <- x) c.sp_terms;
-      { coeffs; relation = c.sp_relation; rhs = c.sp_rhs })
-    sconstrs
-
-let sparse_of_dense constraints =
-  List.map
-    (fun c ->
-      let terms = ref [] in
-      for v = Array.length c.coeffs - 1 downto 0 do
-        if not (Rat.is_zero c.coeffs.(v)) then terms := (v, c.coeffs.(v)) :: !terms
-      done;
-      { sp_terms = !terms; sp_relation = c.relation; sp_rhs = c.rhs })
-    constraints
-
-let minimize ~n_vars constraints ~objective =
-  if Budget.probe ~site:infeasible_site then Infeasible
-  else
-    match !engine with
-    | Dense -> minimize_tableau ~n_vars constraints ~objective
-    | Sparse ->
-        if Array.length objective <> n_vars then invalid_arg "Simplex.minimize: objective size";
-        List.iter
-          (fun c ->
-            if Array.length c.coeffs <> n_vars then invalid_arg "Simplex.minimize: constraint size")
-          constraints;
-        minimize_sstd (build_sstd ~n_vars (sparse_of_dense constraints)) ~objective
-
 let minimize_sparse ~n_vars sconstrs ~objective =
   if Budget.probe ~site:infeasible_site then Infeasible
   else begin
     if Array.length objective <> n_vars then
       invalid_arg "Simplex.minimize_sparse: objective size";
     check_sparse ~n_vars sconstrs;
-    match !engine with
-    | Dense -> minimize_tableau ~n_vars (dense_of_sparse ~n_vars sconstrs) ~objective
-    | Sparse -> minimize_sstd (build_sstd ~n_vars sconstrs) ~objective
+    minimize_sstd (build_sstd ~n_vars sconstrs) ~objective
   end
 
-let negate_max = function
+let maximize_sparse ~n_vars sconstrs ~objective =
+  match minimize_sparse ~n_vars sconstrs ~objective:(Array.map Rat.neg objective) with
   | Optimal { objective; solution } -> Optimal { objective = Rat.neg objective; solution }
   | (Infeasible | Unbounded) as o -> o
-
-let maximize ~n_vars constraints ~objective =
-  negate_max (minimize ~n_vars constraints ~objective:(Array.map Rat.neg objective))
-
-let maximize_sparse ~n_vars sconstrs ~objective =
-  negate_max (minimize_sparse ~n_vars sconstrs ~objective:(Array.map Rat.neg objective))

@@ -1,37 +1,28 @@
 (** Exact two-phase primal simplex over rationals.
 
     Solves [minimize c·x subject to A x {<=,=,>=} b, x >= 0] exactly —
-    no tolerances. Entering columns are priced by Bland's anti-cycling
-    rule by default (reproducing the seed solver's canonical pivot
-    sequence), or by Dantzig's most-negative-reduced-cost rule with a
-    degenerate-stall fallback to Bland when {!pricing} selects it.
-    Before the two-phase solve, a float simplex ({!Fsimplex}) may
-    suggest a starting basis, which is re-validated in exact arithmetic
-    and discarded on any mismatch — results never depend on floating
-    point. This is the engine behind the LP relaxation of Section 3.1
-    ({!Rtt_core.Lp_relax}).
+    no tolerances. Entering columns are priced by Bland's lowest-index
+    anti-cycling rule, which reproduces the seed solver's canonical
+    pivot sequence. Before the two-phase solve, a float simplex
+    ({!Fsimplex}) may suggest a starting basis, which is re-validated in
+    exact arithmetic and discarded on any mismatch — results never
+    depend on floating point. This is the engine behind the LP
+    relaxation of Section 3.1 ({!Rtt_core.Lp_relax}).
 
-    Two interchangeable engines execute every solve ({!engine}): the
-    default {e revised} simplex over sparse columns with an eta-file
-    basis factorization ({!Basis_factor}), whose per-pivot work is
-    proportional to nonzeros; and the original dense tableau, kept as
-    the differential oracle. Exact arithmetic makes every priced
-    reduced cost and every ratio identical between them, so the two
-    engines pivot identically and return bit-identical outcomes. *)
+    It is a {e revised} simplex: constraints stay in sparse columns and
+    the basis inverse is an eta-file factorization ({!Basis_factor}), so
+    per-pivot work is proportional to nonzeros. The test suite keeps the
+    original dense tableau as a differential oracle and requires both to
+    agree on every pivot. *)
 
 open Rtt_num
 
 type relation = Le | Ge | Eq
 
-type constr = { coeffs : Rat.t array; relation : relation; rhs : Rat.t }
-(** One row: [coeffs · x relation rhs]. [coeffs] must have length equal
-    to the number of variables. *)
-
 type sparse_constr = { sp_terms : (int * Rat.t) list; sp_relation : relation; sp_rhs : Rat.t }
 (** One row in sparse form: [sp_terms] are (variable, coefficient)
     pairs sorted by strictly ascending variable index (zero
-    coefficients are permitted and ignored). The preferred input for
-    the LPs this project builds — {!Rtt_lp.Lp} feeds {!minimize_sparse}
+    coefficients are permitted and ignored). {!Rtt_lp.Lp} builds them
     straight from its {!Rtt_lp.Linexpr} terms. *)
 
 type outcome =
@@ -41,9 +32,9 @@ type outcome =
 
 val infeasible_site : string
 (** Fault-injection site (["lp.infeasible"]): when armed through
-    {!Rtt_budget.Budget.arm}, the triggering {!minimize} call reports
-    [Infeasible] without touching the tableau. Every pivot also consumes
-    one unit of ambient fuel (stage ["simplex"]). *)
+    {!Rtt_budget.Budget.arm}, the triggering {!minimize_sparse} call
+    reports [Infeasible] without solving anything. Every pivot also
+    consumes one unit of ambient fuel (stage ["simplex"]). *)
 
 val warmstart_reject_site : string
 (** Fault-injection site (["lp.warmstart.reject"]): when armed, the
@@ -51,62 +42,33 @@ val warmstart_reject_site : string
     it and falls through to the ordinary two-phase path — exercising the
     fallback without having to construct a float-hostile instance. *)
 
-type pricing = Dantzig | Bland
-
-val pricing : pricing ref
-(** Entering-column rule. [Bland] (the default) is the seed's pure
-    lowest-index rule, reproducing its pivot sequence — and therefore
-    its exact answers — bit for bit. [Dantzig] picks the most negative
-    reduced cost and falls back to Bland's rule only while stalled on
-    degenerate pivots (so termination stays guaranteed); it reaches the
-    same optimal {e value} but, on LPs with several optimal vertices,
-    possibly a different (equally optimal) solution, which is why it is
-    opt-in: set the environment variable [RTT_LP_PRICING=dantzig] or
-    flip this ref. *)
-
 val warmstart_enabled : bool ref
 (** Whether solves may consult the float simplex for a starting basis.
-    Defaults to [true]; initialized to [false] when the environment
-    variable [RTT_LP_WARMSTART] is ["0"], ["false"], ["no"] or ["off"].
-    Purely a performance toggle — outcomes are identical either way. *)
-
-type engine = Dense | Sparse
-
-val engine : engine ref
-(** Which implementation executes solves. [Sparse] (the default) is the
-    revised simplex over sparse columns with an eta-file basis
-    factorization; [Dense] is the original full-tableau code, kept as
-    the differential oracle. Initialized to [Dense] when the
-    environment variable [RTT_LP_ENGINE] is ["dense"]. The engines
-    pivot identically and return bit-identical outcomes — switching is
-    purely a performance choice. *)
-
-val engine_name : unit -> string
-(** ["sparse"] or ["dense"], for stats output. *)
+    Defaults to [true]; [--no-float-warmstart] (CLI and bench) clears
+    it. Purely a performance toggle — outcomes are identical either
+    way. *)
 
 val pivot_count : unit -> int
 (** Cumulative exact pivots (including warm-start crash pivots) since
-    program start. Observability for the bench harness. Identical
-    under both engines by construction. *)
+    program start. Observability for the bench harness. *)
 
 val warm_stats : unit -> int * int
 (** [(accepted, rejected)] warm-start attempts since program start.
     Solves with warm start disabled count in neither bucket. *)
 
 type factor_stats = { refactorizations : int; etas : int; eta_peak : int; nnz : int; cells : int }
-(** Sparse-engine observability since the last {!reset_stats}:
+(** Factorization observability since the last {!reset_stats}:
     refactorization count and eta-file traffic from {!Basis_factor},
     plus the structural nonzeros ([nnz]) out of total constraint-matrix
     cells ([cells]) of every standard form built — [nnz /. cells] is
-    the aggregate density the revised engine exploited. All zero while
-    the dense engine is selected. *)
+    the aggregate density the revised engine exploited. *)
 
 val factor_stats : unit -> factor_stats
 
 val lp_stats_json : unit -> string
-(** One-line JSON object with the engine name and every counter above
-    (pivots, warm stats, factorization stats) — embedded by the daemon
-    in its [stats] response. *)
+(** One-line JSON object with every counter above (pivots, warm
+    stats, factorization stats) — embedded by the daemon in its
+    [stats] response. *)
 
 val reset_stats : unit -> unit
 (** Zero {!pivot_count}, {!warm_stats} and {!factor_stats}. The
@@ -117,12 +79,13 @@ val reset_stats : unit -> unit
 (** {1 Test instrumentation} *)
 
 val trace_pivots : bool ref
-(** When [true], every pivot appends an engine-independent record to
-    the log read by {!take_pivot_log}: (entering column, leaving
-    column) for pricing and drive-out pivots, (column, [-(row+1)]) for
-    warm-start crash pivots. The differential qcheck suite runs both
-    engines under tracing and requires the logs to match entry for
-    entry. Off by default; tracing allocates per pivot. *)
+(** When [true], every pivot appends a representation-independent
+    record to the log read by {!take_pivot_log}: (entering column,
+    leaving column) for pricing and drive-out pivots, (column,
+    [-(row+1)]) for warm-start crash pivots. The differential qcheck
+    suite runs this engine and the dense oracle under tracing and
+    requires the logs to match entry for entry. Off by default; tracing
+    allocates per pivot. *)
 
 val take_pivot_log : unit -> (int * int) list
 (** The trace since the last call, oldest first; clears the log. *)
@@ -140,10 +103,10 @@ val last_basis : unit -> basis option
     instance can start from it. *)
 
 val set_basis_hint : basis -> unit
-(** Install a one-shot starting-basis hint: the next {!minimize} (or
-    {!maximize}) consumes it and, if its LP has the same standard-form
-    shape, crashes the basis in exact arithmetic — accepted only if it
-    re-derives to a proven basic feasible solution, discarded on any
+(** Install a one-shot starting-basis hint: the next {!minimize_sparse}
+    (or {!maximize_sparse}) consumes it and, if its LP has the same
+    standard-form shape, crashes the basis in exact arithmetic —
+    accepted only if it re-derives to a proven basic feasible solution, discarded on any
     mismatch (the same verify-or-discard discipline as the float
     advisor, counted in {!warm_stats}). A hint for a different shape
     (the instance gained or lost columns/rows) is discarded silently.
@@ -153,24 +116,17 @@ val clear_basis_hint : unit -> unit
 
 val basis_repr : basis -> string
 (** Debug/test representation ("RxC:(row,col)(row,col)…", pairs in
-    ascending row order). Both engines print equal strings for equal
-    bases, which is what the differential suite compares. *)
+    ascending row order). The dense oracle prints the same format,
+    which is what the differential suite compares. *)
 
-val minimize : n_vars:int -> constr list -> objective:Rat.t array -> outcome
-(** All variables implicitly satisfy [x >= 0].
-    @raise Invalid_argument on dimension mismatches.
+val minimize_sparse : n_vars:int -> sparse_constr list -> objective:Rat.t array -> outcome
+(** Minimize [objective · x] subject to the rows; all variables
+    implicitly satisfy [x >= 0].
+    @raise Invalid_argument on an objective of the wrong size or
+    out-of-range or unsorted variables.
     @raise Rtt_budget.Budget.Fuel_exhausted when an ambient fuel budget
     runs out mid-solve. *)
 
-val maximize : n_vars:int -> constr list -> objective:Rat.t array -> outcome
-(** [maximize] negates the objective and delegates to {!minimize}; the
-    reported [objective] is the maximum. *)
-
-val minimize_sparse : n_vars:int -> sparse_constr list -> objective:Rat.t array -> outcome
-(** {!minimize} over sparse rows. Under the sparse engine the columns
-    are used directly (no dense materialization); under the dense
-    engine they are expanded to the exact arrays {!minimize} would have
-    received, so answers are independent of which entry was called.
-    @raise Invalid_argument on out-of-range or unsorted variables. *)
-
 val maximize_sparse : n_vars:int -> sparse_constr list -> objective:Rat.t array -> outcome
+(** [maximize_sparse] negates the objective and delegates to
+    {!minimize_sparse}; the reported [objective] is the maximum. *)

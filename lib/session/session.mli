@@ -26,11 +26,8 @@
       current instance returns, byte for byte, for strictly less
       fuel. Basis hints are held in standard-form coordinates
       ([(row, column)] pairs over the constraint rows and real
-      variables), which both simplex engines share — a hint captured
-      under the dense tableau warm-starts the revised sparse engine
-      and vice versa, so warm re-solves are indifferent to the
-      [RTT_LP_ENGINE] setting (the differential suite in
-      [test/test_lp.ml] asserts this on random hinted LPs). *)
+      variables), so a hint is only ever tried against an LP of the
+      same shape; one that no longer fits is discarded. *)
 
 open Rtt_num
 

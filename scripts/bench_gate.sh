@@ -17,9 +17,10 @@
 # regressions (a lost fast path, an accidental deep copy) that fuel
 # cannot see.
 #
-# Pivot counts ARE gated bit-for-bit: Bland's rule over exact rationals
-# is deterministic, so any drift in a section's `pivots` field against
-# the committed baseline means the simplex took a different path — a
+# Pivot and warm-start counts ARE gated bit-for-bit: Bland's rule over
+# exact rationals is deterministic, so any drift in a section's
+# `pivots`, `warm_accepted` or `warm_rejected` field against the
+# committed baseline means the simplex took a different path — a
 # semantic change that must be reviewed and recommitted deliberately,
 # never absorbed as noise.
 set -euo pipefail
@@ -34,8 +35,10 @@ budget_of() { case "$1" in T1) echo 1.3 ;; *) echo 1.2 ;; esac; }
 FLOOR=0.05
 
 # LP-heavy sections whose Bland pivot sequence is deterministic: the
-# fresh `pivots` count must equal the committed baseline exactly
+# fresh `pivots`, `warm_accepted` and `warm_rejected` counts must equal
+# the committed baseline exactly
 PIVOT_SECTIONS=(E1 E2 E3 E14 E16 A2 A4 S1)
+EXACT_FIELDS=(pivots warm_accepted warm_rejected)
 
 [ -x "$BENCH" ] || { echo "bench_gate: $BENCH missing — run dune build first" >&2; exit 2; }
 [ -f "$BASELINE" ] || { echo "bench_gate: committed baseline $BASELINE missing" >&2; exit 2; }
@@ -45,9 +48,9 @@ seconds_of() {
   sed -n 's/.*"id":"'"$2"'".*"seconds":\([0-9.]*\).*/\1/p' "$1" | head -1
 }
 
-# extract one section's pivots field (an integer — exact compare)
-pivots_of() {
-  sed -n 's/.*"id":"'"$2"'".*"pivots":\([0-9]*\).*/\1/p' "$1" | head -1
+# extract one integer field of one section (exact compare)
+field_of() {
+  sed -n 's/.*"id":"'"$2"'".*"'"$3"'":\([0-9]*\).*/\1/p' "$1" | head -1
 }
 
 tmp=$(mktemp -d)
@@ -73,15 +76,17 @@ for sec in "${SECTIONS[@]}"; do
       || { echo "bench_gate: $sec failed its own verdict" >&2; exit 1; }
   done
   if [[ " ${PIVOT_SECTIONS[*]} " == *" $sec "* ]]; then
-    base_p=$(pivots_of "$BASELINE" "$sec")
-    fresh_p=$(pivots_of "$tmp/run1/BENCH_5.json" "$sec")
-    if [ "$fresh_p" != "$base_p" ]; then
-      echo "bench_gate: FAIL — $sec took $fresh_p pivots against a baseline of $base_p; the" >&2
-      echo "            simplex pivot sequence changed — if intentional, recommit $BASELINE" >&2
-      fail=1
-    else
-      echo "bench_gate: OK — $sec pivots $fresh_p match the committed baseline exactly"
-    fi
+    for field in "${EXACT_FIELDS[@]}"; do
+      base_v=$(field_of "$BASELINE" "$sec" "$field")
+      fresh_v=$(field_of "$tmp/run1/BENCH_5.json" "$sec" "$field")
+      if [ -z "$base_v" ] || [ "$fresh_v" != "$base_v" ]; then
+        echo "bench_gate: FAIL — $sec $field is $fresh_v against a baseline of $base_v; the" >&2
+        echo "            simplex path changed — if intentional, recommit $BASELINE" >&2
+        fail=1
+      else
+        echo "bench_gate: OK — $sec $field $fresh_v matches the committed baseline exactly"
+      fi
+    done
   fi
   fresh=$(awk -v a="$a" -v b="$b" 'BEGIN { print (a < b) ? a : b }')
   small=$(awk -v base="$base" -v floor="$FLOOR" 'BEGIN { print (base < floor) ? 1 : 0 }')

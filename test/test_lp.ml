@@ -208,15 +208,12 @@ let simplex_props =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Pricing rules and the float warm start. Dantzig and Bland may stop
-   at different optimal vertices on degenerate instances, so agreement
-   is asserted on status and objective value, never on the solution
-   vector; the same goes for warm start on/off. *)
+(* The float warm start. On degenerate instances a warm and a cold
+   solve may stop at different optimal vertices, so agreement is
+   asserted on status and objective value, never on the solution
+   vector. *)
 
-let with_pricing p f =
-  let saved = !Simplex.pricing in
-  Simplex.pricing := p;
-  Fun.protect ~finally:(fun () -> Simplex.pricing := saved) f
+module Oracle = Rtt_lp_oracle
 
 let with_warmstart b f =
   let saved = !Simplex.warmstart_enabled in
@@ -240,49 +237,31 @@ let random_instance seed =
   let constrs =
     List.init rows (fun _ ->
         {
-          Simplex.coeffs = Array.init nv (fun _ -> Rat.of_int (Random.State.int rng 9 - 3));
+          Oracle.coeffs = Array.init nv (fun _ -> Rat.of_int (Random.State.int rng 9 - 3));
           relation = rel ();
           rhs = Rat.of_int (Random.State.int rng 15 - 4);
         })
   in
   let objective = Array.init nv (fun _ -> Rat.of_int (Random.State.int rng 11 - 5)) in
-  (nv, constrs, objective)
-
-let pricing_props =
-  [
-    prop "Dantzig and Bland agree on status and objective" 300 QCheck.(int_range 0 100_000)
-      (fun seed ->
-        let n_vars, constrs, objective = random_instance seed in
-        with_warmstart false (fun () ->
-            let b = with_pricing Simplex.Bland (fun () -> Simplex.minimize ~n_vars constrs ~objective) in
-            let d = with_pricing Simplex.Dantzig (fun () -> Simplex.minimize ~n_vars constrs ~objective) in
-            String.equal (outcome_key b) (outcome_key d)));
-    prop "float warm start never changes status or objective" 300 QCheck.(int_range 0 100_000)
-      (fun seed ->
-        let n_vars, constrs, objective = random_instance seed in
-        with_pricing Simplex.Bland (fun () ->
-            let cold = with_warmstart false (fun () -> Simplex.minimize ~n_vars constrs ~objective) in
-            let warm = with_warmstart true (fun () -> Simplex.minimize ~n_vars constrs ~objective) in
-            String.equal (outcome_key cold) (outcome_key warm)));
-  ]
+  (nv, Oracle.sparse_of_dense constrs, objective)
 
 (* max 3x + 5y st x <= 4; 2y <= 12; 3x + 2y <= 18 -> 36 at (2,6) *)
 let textbook () =
   let row coeffs relation rhs =
-    { Simplex.coeffs = Array.map Rat.of_int coeffs; relation; rhs = Rat.of_int rhs }
+    { Oracle.coeffs = Array.map Rat.of_int coeffs; relation; rhs = Rat.of_int rhs }
   in
   let constrs =
     [ row [| 1; 0 |] Simplex.Le 4; row [| 0; 2 |] Simplex.Le 12; row [| 3; 2 |] Simplex.Le 18 ]
   in
-  (2, constrs, [| Rat.of_int 3; Rat.of_int 5 |])
+  (2, Oracle.sparse_of_dense constrs, [| Rat.of_int 3; Rat.of_int 5 |])
 
 let warmstart_units =
   [
     Alcotest.test_case "accepted warm start is counted and exact" `Quick (fun () ->
-        let n_vars, constrs, objective = textbook () in
+        let n_vars, rows, objective = textbook () in
         let acc0, rej0 = Simplex.warm_stats () in
         let out =
-          with_warmstart true (fun () -> Simplex.maximize ~n_vars constrs ~objective)
+          with_warmstart true (fun () -> Simplex.maximize_sparse ~n_vars rows ~objective)
         in
         let acc1, rej1 = Simplex.warm_stats () in
         (match out with
@@ -292,14 +271,14 @@ let warmstart_units =
         Alcotest.(check int) "accepted" (acc0 + 1) acc1;
         Alcotest.(check int) "rejected" rej0 rej1);
     Alcotest.test_case "injected rejection falls back to two-phase" `Quick (fun () ->
-        let n_vars, constrs, objective = textbook () in
+        let n_vars, rows, objective = textbook () in
         let acc0, rej0 = Simplex.warm_stats () in
         Rtt_budget.Budget.arm ~site:Simplex.warmstart_reject_site ~after:0;
         Fun.protect
           ~finally:(fun () -> Rtt_budget.Budget.disarm_all ())
           (fun () ->
             let out =
-              with_warmstart true (fun () -> Simplex.maximize ~n_vars constrs ~objective)
+              with_warmstart true (fun () -> Simplex.maximize_sparse ~n_vars rows ~objective)
             in
             let acc1, rej1 = Simplex.warm_stats () in
             (match out with
@@ -313,10 +292,10 @@ let warmstart_units =
             Alcotest.(check bool) "fault disarmed" false
               (Rtt_budget.Budget.armed ~site:Simplex.warmstart_reject_site)));
     Alcotest.test_case "disabled warm start counts in neither bucket" `Quick (fun () ->
-        let n_vars, constrs, objective = textbook () in
+        let n_vars, rows, objective = textbook () in
         let acc0, rej0 = Simplex.warm_stats () in
         let out =
-          with_warmstart false (fun () -> Simplex.maximize ~n_vars constrs ~objective)
+          with_warmstart false (fun () -> Simplex.maximize_sparse ~n_vars rows ~objective)
         in
         let acc1, rej1 = Simplex.warm_stats () in
         (match out with
@@ -325,34 +304,55 @@ let warmstart_units =
         | _ -> Alcotest.fail "expected optimal");
         Alcotest.(check int) "accepted" acc0 acc1;
         Alcotest.(check int) "rejected" rej0 rej1);
+    prop "float warm start never changes status or objective" 300 QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let n_vars, rows, objective = random_instance seed in
+        let cold = with_warmstart false (fun () -> Simplex.minimize_sparse ~n_vars rows ~objective) in
+        let warm = with_warmstart true (fun () -> Simplex.minimize_sparse ~n_vars rows ~objective) in
+        String.equal (outcome_key cold) (outcome_key warm));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: the sparse revised engine against the dense tableau
-   oracle. The contract is stronger than "same answer": same status,
-   same objective, same solution vector, same captured basis, same
-   pivot sequence (via the trace log), same pivot count, same fuel.
-   Everything is folded into one fingerprint string so a mismatch
-   prints both sides. *)
+(* Differential: the production revised engine against the dense
+   tableau oracle. The contract is stronger than "same answer": same
+   status, same objective, same solution vector, same captured basis,
+   same pivot sequence (via the trace log), same pivot count, same fuel,
+   same warm-start counts. Everything is folded into one fingerprint
+   string so a mismatch prints both sides. Both implementations are
+   handed the same sparse rows. *)
 
-let with_engine e f =
-  let saved = !Simplex.engine in
-  Simplex.engine := e;
-  Fun.protect ~finally:(fun () -> Simplex.engine := saved) f
+module type LP = sig
+  type basis
 
-let fingerprint_run solve =
-  Simplex.trace_pivots := true;
-  ignore (Simplex.take_pivot_log ());
-  let p0 = Simplex.pivot_count () in
-  let acc0, rej0 = Simplex.warm_stats () in
-  let out = Rtt_budget.Budget.with_fuel (Some 200_000) (fun () ->
-      let out = solve () in
-      (out, Rtt_budget.Budget.spent ()))
+  val minimize_sparse :
+    n_vars:int -> Simplex.sparse_constr list -> objective:Rat.t array -> Simplex.outcome
+
+  val pivot_count : unit -> int
+  val warm_stats : unit -> int * int
+  val trace_pivots : bool ref
+  val take_pivot_log : unit -> (int * int) list
+  val last_basis : unit -> basis option
+  val set_basis_hint : basis -> unit
+  val clear_basis_hint : unit -> unit
+  val basis_repr : basis -> string
+end
+
+let production = (module Simplex : LP)
+let oracle = (module Oracle : LP)
+
+let fingerprint_run (module L : LP) ~n_vars rows ~objective =
+  L.trace_pivots := true;
+  ignore (L.take_pivot_log ());
+  let p0 = L.pivot_count () in
+  let acc0, rej0 = L.warm_stats () in
+  let out, fuel =
+    Rtt_budget.Budget.with_fuel (Some 200_000) (fun () ->
+        let out = L.minimize_sparse ~n_vars rows ~objective in
+        (out, Rtt_budget.Budget.spent ()))
   in
-  let out, fuel = out in
-  let log = Simplex.take_pivot_log () in
-  Simplex.trace_pivots := false;
-  let acc1, rej1 = Simplex.warm_stats () in
+  let log = L.take_pivot_log () in
+  L.trace_pivots := false;
+  let acc1, rej1 = L.warm_stats () in
   let buf = Buffer.create 256 in
   (match out with
   | Simplex.Optimal { objective; solution } ->
@@ -360,18 +360,19 @@ let fingerprint_run solve =
       Array.iter (fun v -> Buffer.add_string buf (Rat.to_string v ^ ";")) solution;
       Buffer.add_string buf "] basis=";
       Buffer.add_string buf
-        (match Simplex.last_basis () with Some b -> Simplex.basis_repr b | None -> "none")
+        (match L.last_basis () with Some b -> L.basis_repr b | None -> "none")
   | Simplex.Infeasible -> Buffer.add_string buf "infeasible"
   | Simplex.Unbounded -> Buffer.add_string buf "unbounded");
   Buffer.add_string buf
     (Printf.sprintf " pivots=%d fuel=%d warm=+%d/+%d log="
-       (Simplex.pivot_count () - p0) fuel (acc1 - acc0) (rej1 - rej0));
+       (L.pivot_count () - p0) fuel (acc1 - acc0) (rej1 - rej0));
   List.iter (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "(%d,%d)" a b)) log;
   Buffer.contents buf
 
-let check_engines_agree solve =
-  let d = with_engine Simplex.Dense (fun () -> fingerprint_run solve) in
-  let s = with_engine Simplex.Sparse (fun () -> fingerprint_run solve) in
+(* [run impl] fingerprints one scenario under one implementation *)
+let check_engines_agree run =
+  let d = run oracle in
+  let s = run production in
   if not (String.equal d s) then
     Alcotest.fail (Printf.sprintf "engines diverge:\n--- dense\n%s\n--- sparse\n%s" d s);
   true
@@ -382,94 +383,87 @@ let with_eta_limit n f =
   Fun.protect ~finally:(fun () -> Rtt_lp.Basis_factor.eta_limit := saved) f
 
 (* same LP twice: first solve captures a basis, second consumes it as a
-   hint — under each engine independently, then compared. [perturb]
-   optionally bumps one rhs so the hint is same-shaped but stale. *)
-let hint_fingerprint ~n_vars constrs ~objective ~perturb =
-  let constrs2 =
-    if not perturb then constrs
+   hint. [perturb] optionally bumps one rhs so the hint is same-shaped
+   but stale. *)
+let hint_fingerprint ((module L : LP) as impl) ~n_vars rows ~objective ~perturb =
+  let rows2 =
+    if not perturb then rows
     else
       List.mapi
-        (fun i c -> if i = 0 then { c with Simplex.rhs = Rat.add c.Simplex.rhs Rat.one } else c)
-        constrs
+        (fun i c ->
+          if i = 0 then { c with Simplex.sp_rhs = Rat.add c.Simplex.sp_rhs Rat.one } else c)
+        rows
   in
-  let first = fingerprint_run (fun () -> Simplex.minimize ~n_vars constrs ~objective) in
+  let first = fingerprint_run impl ~n_vars rows ~objective in
   (* [last_basis] is process-global and survives a non-optimal solve,
-     so a capture left behind by an earlier run (possibly under the
-     other engine) would leak in here: only hint when THIS first solve
-     was optimal and therefore overwrote the capture itself. *)
+     so a capture left behind by an earlier run would leak in here:
+     only hint when THIS first solve was optimal and therefore
+     overwrote the capture itself. *)
   if not (String.length first >= 7 && String.equal (String.sub first 0 7) "optimal") then first
   else
-    match Simplex.last_basis () with
+    match L.last_basis () with
     | None -> first (* first solve was not optimal; nothing to hint with *)
     | Some b ->
-      Simplex.set_basis_hint b;
-      Fun.protect ~finally:Simplex.clear_basis_hint (fun () ->
-          first ^ " || " ^ fingerprint_run (fun () -> Simplex.minimize ~n_vars:n_vars constrs2 ~objective))
+        L.set_basis_hint b;
+        Fun.protect ~finally:L.clear_basis_hint (fun () ->
+            first ^ " || " ^ fingerprint_run impl ~n_vars rows2 ~objective)
+
+(* the Section 3.1 makespan LP of a small random layered race DAG,
+   binary or k-way splitting durations by seed parity *)
+let makespan_lps seed =
+  let rng = Random.State.make [| seed; 3131 |] in
+  let layers = 2 + Random.State.int rng 3 and width = 1 + Random.State.int rng 3 in
+  let g = Rtt_dag.Gen.layered rng ~layers ~width ~edge_prob:0.4 in
+  let kind = if seed mod 2 = 0 then Rtt_core.Problem.Binary else Rtt_core.Problem.Kway in
+  let tr = Rtt_core.Transform.of_problem (Rtt_core.Problem.of_race_dag g kind) in
+  List.map (fun budget -> Rtt_core.Lp_relax.makespan_rows tr ~budget) [ 0; 2; 5 ]
 
 let differential_props =
   [
     prop "engines agree bit for bit: cold two-phase (Bland)" 400 QCheck.(int_range 0 100_000)
       (fun seed ->
-        let n_vars, constrs, objective = random_instance seed in
+        let n_vars, rows, objective = random_instance seed in
         with_warmstart false (fun () ->
-            check_engines_agree (fun () -> Simplex.minimize ~n_vars constrs ~objective)));
+            check_engines_agree (fun impl -> fingerprint_run impl ~n_vars rows ~objective)));
     prop "engines agree bit for bit: float warm start (Bland)" 400 QCheck.(int_range 0 100_000)
       (fun seed ->
-        let n_vars, constrs, objective = random_instance seed in
+        let n_vars, rows, objective = random_instance seed in
         with_warmstart true (fun () ->
-            check_engines_agree (fun () -> Simplex.minimize ~n_vars constrs ~objective)));
-    prop "engines agree bit for bit: Dantzig pricing" 200 QCheck.(int_range 0 100_000)
+            check_engines_agree (fun impl -> fingerprint_run impl ~n_vars rows ~objective)));
+    prop "engines agree bit for bit: Section 3.1 makespan LP" 100 QCheck.(int_range 0 100_000)
       (fun seed ->
-        let n_vars, constrs, objective = random_instance seed in
-        with_pricing Simplex.Dantzig (fun () ->
-            check_engines_agree (fun () -> Simplex.minimize ~n_vars constrs ~objective)));
+        List.for_all
+          (fun (n_vars, rows, objective) ->
+            List.for_all
+              (fun warm ->
+                with_warmstart warm (fun () ->
+                    check_engines_agree (fun impl -> fingerprint_run impl ~n_vars rows ~objective)))
+              [ false; true ])
+          (makespan_lps seed));
     prop "engines agree on the basis-hint path" 200 QCheck.(int_range 0 100_000)
       (fun seed ->
-        let n_vars, constrs, objective = random_instance seed in
+        let n_vars, rows, objective = random_instance seed in
         with_warmstart true (fun () ->
-            let d =
-              with_engine Simplex.Dense (fun () ->
-                  hint_fingerprint ~n_vars constrs ~objective ~perturb:false)
-            in
-            let s =
-              with_engine Simplex.Sparse (fun () ->
-                  hint_fingerprint ~n_vars constrs ~objective ~perturb:false)
-            in
-            if not (String.equal d s) then
-              Alcotest.fail (Printf.sprintf "hint path diverges:\n--- dense\n%s\n--- sparse\n%s" d s);
-            true));
+            check_engines_agree (fun impl ->
+                hint_fingerprint impl ~n_vars rows ~objective ~perturb:false)));
     prop "engines agree on a stale (perturbed) basis hint" 200 QCheck.(int_range 0 100_000)
       (fun seed ->
-        let n_vars, constrs, objective = random_instance seed in
+        let n_vars, rows, objective = random_instance seed in
         with_warmstart true (fun () ->
-            let d =
-              with_engine Simplex.Dense (fun () ->
-                  hint_fingerprint ~n_vars constrs ~objective ~perturb:true)
-            in
-            let s =
-              with_engine Simplex.Sparse (fun () ->
-                  hint_fingerprint ~n_vars constrs ~objective ~perturb:true)
-            in
-            if not (String.equal d s) then
-              Alcotest.fail
-                (Printf.sprintf "stale-hint path diverges:\n--- dense\n%s\n--- sparse\n%s" d s);
-            true));
+            check_engines_agree (fun impl ->
+                hint_fingerprint impl ~n_vars rows ~objective ~perturb:true)));
     prop "forced refactorization changes nothing" 200 QCheck.(int_range 0 100_000)
       (fun seed ->
-        let n_vars, constrs, objective = random_instance seed in
-        with_engine Simplex.Sparse (fun () ->
-            let lazy_refac =
-              fingerprint_run (fun () -> Simplex.minimize ~n_vars constrs ~objective)
-            in
-            let eager =
-              with_eta_limit 0 (fun () ->
-                  fingerprint_run (fun () -> Simplex.minimize ~n_vars constrs ~objective))
-            in
-            if not (String.equal lazy_refac eager) then
-              Alcotest.fail
-                (Printf.sprintf "refactorization changed the solve:\n--- lazy\n%s\n--- eager\n%s"
-                   lazy_refac eager);
-            true));
+        let n_vars, rows, objective = random_instance seed in
+        let lazy_refac = fingerprint_run production ~n_vars rows ~objective in
+        let eager =
+          with_eta_limit 0 (fun () -> fingerprint_run production ~n_vars rows ~objective)
+        in
+        if not (String.equal lazy_refac eager) then
+          Alcotest.fail
+            (Printf.sprintf "refactorization changed the solve:\n--- lazy\n%s\n--- eager\n%s"
+               lazy_refac eager);
+        true);
   ]
 
 let () =
@@ -478,7 +472,6 @@ let () =
       ("linexpr", linexpr_units);
       ("simplex", simplex_units);
       ("simplex-properties", simplex_props);
-      ("pricing-properties", pricing_props);
       ("warm-start", warmstart_units);
       ("differential", differential_props);
     ]

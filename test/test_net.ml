@@ -145,8 +145,8 @@ let protocol_units =
           Alcotest.(check bool) (key ^ " present") true (scan 0)
         in
         List.iter has
-          [ "engine"; "pivots"; "warm_accepted"; "warm_rejected"; "refactors"; "etas";
-            "eta_peak"; "nnz"; "cells" ]);
+          [ "pivots"; "warm_accepted"; "warm_rejected"; "refactors"; "etas"; "eta_peak"; "nnz";
+            "cells" ]);
     Alcotest.test_case "submit length mismatch is rejected" `Quick (fun () ->
         let good = Protocol.encode_request (Protocol.Submit { name = "n"; body = "vertices 1" }) in
         (* splice a wrong declared length into the otherwise valid frame *)

@@ -2,7 +2,7 @@
    over its wire form, a warm re-solve answers byte-for-byte what a
    cold solve of the same instance answers (the central invariant,
    checked as a qcheck property over random instances and random
-   mutation sequences, under both simplex pricing rules), rejected
+   mutation sequences), rejected
    mutations leave the session untouched, remove-job cascades and
    renumbers, and the per-session journal survives torn tails and
    replays to the identical state. *)
@@ -164,17 +164,10 @@ let warm_equals_cold seed =
   done;
   !checks > 0
 
-let with_pricing pricing f =
-  let saved = !Rtt_lp.Simplex.pricing in
-  Rtt_lp.Simplex.pricing := pricing;
-  Fun.protect ~finally:(fun () -> Rtt_lp.Simplex.pricing := saved) f
-
 let warm_props =
   [
     prop "warm re-solve == cold solve, byte for byte (Bland)" 12 QCheck.(int_range 0 100_000)
       (fun seed -> warm_equals_cold (2 * seed));
-    prop "warm re-solve == cold solve, byte for byte (Dantzig)" 12 QCheck.(int_range 0 100_000)
-      (fun seed -> with_pricing Rtt_lp.Simplex.Dantzig (fun () -> warm_equals_cold ((2 * seed) + 1)));
   ]
 
 (* ------------------------------------------------------------------ *)
