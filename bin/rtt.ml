@@ -546,7 +546,7 @@ let jobs_cmd =
                 else job
               in
               print_endline (Rtt_service.Jobview.json_of ~id (Some status)))
-            (Rtt_service.Supervisor.report ~spool))
+            (Rtt_service.Journal.to_list (Rtt_service.Supervisor.report ~spool)))
         spools
     else begin
       List.iter

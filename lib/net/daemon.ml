@@ -172,7 +172,7 @@ let serve cfg ~shard ~shards ~own_socket ls =
     nrecords := seq + 1;
     !after_append seq line
   in
-  let status_of job = List.assoc_opt job !states in
+  let status_of job = Journal.find !states job in
   let terminal job =
     match status_of job with
     | Some (Journal.Completed _) | Some (Journal.Dead _) -> true
@@ -866,7 +866,7 @@ let serve cfg ~shard ~shards ~own_socket ls =
   in
   let exit_code () =
     if !force then Supervisor.shutdown_exit_code
-    else if List.exists (function _, Journal.Dead _ -> true | _ -> false) !states then
+    else if Journal.exists (function Journal.Dead _ -> true | _ -> false) !states then
       Supervisor.failed_jobs_exit_code
     else Supervisor.drained_exit_code
   in

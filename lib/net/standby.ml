@@ -37,7 +37,7 @@ let run cfg =
   in
   let f = Replica.open_follower ~spool in
   log "standing by at watermark %d" f.Replica.watermark;
-  let status_of job = List.assoc_opt job f.Replica.states in
+  let status_of job = Journal.find f.Replica.states job in
   let terminal job =
     match status_of job with
     | Some (Journal.Completed _) | Some (Journal.Dead _) -> true

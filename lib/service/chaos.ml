@@ -134,7 +134,7 @@ let check_spool ~spool ~cache_dir ~budget ~policy ~expected =
   let states = Journal.fold records in
   List.iter
     (fun job ->
-      match List.assoc_opt job states with
+      match Journal.find states job with
       | Some (Journal.Completed _) ->
           if Work.read_result ~spool ~job = None then
             add "%s: completed but its result file is missing or unreadable" job
@@ -218,7 +218,7 @@ let run_inproc ?(jobs = 4) ~seed schedule =
         if jobs > 1 then
           let first = List.hd expected and last = List.nth expected (jobs - 1) in
           let states = Journal.fold (Journal.replay ~spool) in
-          match (List.assoc_opt first states, List.assoc_opt last states) with
+          match (Journal.find states first, Journal.find states last) with
           | ( Some (Journal.Completed { makespan = ma; _ }),
               Some (Journal.Completed { makespan = mb; _ }) )
             when ma <> mb ->
@@ -380,7 +380,7 @@ let run_nodes ~rtt ?(jobs = 3) ~seed schedule =
         let states = Journal.fold (Journal.replay ~spool:a) in
         List.for_all
           (fun job ->
-            match List.assoc_opt job states with
+            match Journal.find states job with
             | Some (Journal.Completed _) | Some (Journal.Dead _) -> true
             | _ -> false)
           expected
@@ -419,7 +419,7 @@ let run_nodes ~rtt ?(jobs = 3) ~seed schedule =
         let sb = Journal.fold (Journal.replay ~spool:b) in
         List.iter
           (fun job ->
-            match (List.assoc_opt job sa, List.assoc_opt job sb) with
+            match (Journal.find sa job, Journal.find sb job) with
             | ( Some (Journal.Completed { makespan = ma; _ }),
                 Some (Journal.Completed { makespan = mb; _ }) )
               when ma = mb ->

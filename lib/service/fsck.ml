@@ -122,9 +122,11 @@ let coherence_findings records =
 let spool_findings ~spool states =
   let out = ref [] in
   let add f = out := f :: !out in
-  let status job = List.assoc_opt job states in
+  let status = Journal.find states in
   let entries = list_dir spool in
-  let has name = List.mem name entries in
+  let present = Hashtbl.create (List.length entries) in
+  List.iter (fun name -> Hashtbl.replace present name ()) entries;
+  let has = Hashtbl.mem present in
   (* journaled jobs: their files must match their state *)
   List.iter
     (fun (job, st) ->
@@ -157,7 +159,7 @@ let spool_findings ~spool states =
               action = Note;
             }
       | _ -> ())
-    states;
+    (Journal.to_list states);
   (* spool files: anything the journal cannot account for *)
   List.iter
     (fun name ->

@@ -189,15 +189,24 @@ let step status event =
       Dead { attempts = attempt; error_class }
   | _, Abandoned { attempt } -> Interrupted { attempt }
 
-let apply states { job; event } =
-  let rec go = function
-    | [] -> [ (job, step None event) ]
-    | (j, s) :: rest when j = job -> (j, step (Some s) event) :: rest
-    | entry :: rest -> entry :: go rest
-  in
-  go states
+module Jobs = Map.Make (String)
 
-let fold records = List.fold_left apply [] records
+(* [index] answers lookups and steps in O(log n); [newest] remembers
+   first-encounter order (newest first), so an existing job's step
+   touches only the map and a new job's adds one cons cell *)
+type states = { index : status Jobs.t; newest : string list }
+
+let empty = { index = Jobs.empty; newest = [] }
+let find states job = Jobs.find_opt job states.index
+
+let apply states { job; event } =
+  match Jobs.find_opt job states.index with
+  | Some s -> { states with index = Jobs.add job (step (Some s) event) states.index }
+  | None -> { index = Jobs.add job (step None event) states.index; newest = job :: states.newest }
+
+let fold records = List.fold_left apply empty records
+let exists p states = Jobs.exists (fun _ s -> p s) states.index
+let to_list states = List.rev_map (fun job -> (job, Jobs.find job states.index)) states.newest
 
 let status_name = function
   | Pending _ -> "pending"

@@ -11,7 +11,7 @@
 
     The derived job state ({!fold}/{!apply}) is a pure left fold, so
     replaying any prefix of a journal and then the rest yields the same
-    state map as one replay — the idempotence property the test suite
+    {!states} as one replay — the idempotence property the test suite
     checks. *)
 
 type event =
@@ -96,12 +96,37 @@ type status =
   | Dead of { attempts : int; error_class : string }
       (** Permanently failed (bad instance, or retries exhausted). *)
 
-val apply : (string * status) list -> record -> (string * status) list
-(** One state-machine step; unknown jobs are inserted in encounter
-    order. *)
+val step : status option -> event -> status
+(** One job's state machine: its status after [event], given its
+    status before ([None] if no record named it yet). [Completed] is
+    absorbing. *)
 
-val fold : record list -> (string * status) list
-(** [List.fold_left apply []]. *)
+type states
+(** Every journaled job's current {!status}: a persistent index, so a
+    step returns a new value and leaves its argument usable. {!apply}
+    and {!find} cost O(log n) in the number of jobs, which keeps a
+    long-running daemon's per-record bookkeeping flat as its journal
+    grows; {!to_list} lists jobs in first-encounter order. *)
+
+val empty : states
+
+val apply : states -> record -> states
+(** One state-machine step; an unknown job is added after every job
+    already seen. *)
+
+val fold : record list -> states
+(** [List.fold_left apply empty]: still a pure left fold, so folding a
+    prefix and then applying the rest equals folding the whole. *)
+
+val find : states -> string -> status option
+(** The job's status, or [None] if no record names it. O(log n). *)
+
+val exists : (status -> bool) -> states -> bool
+(** Does some job's status satisfy the predicate? *)
+
+val to_list : states -> (string * status) list
+(** Every job with its status, in the order the jobs first appeared in
+    the records. O(n log n). *)
 
 val status_name : status -> string
 val pp_status : Format.formatter -> status -> unit

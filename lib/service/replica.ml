@@ -2,7 +2,7 @@ type follower = {
   journal : Journal.t;
   spool : string;
   mutable watermark : int;
-  mutable states : (string * Journal.status) list;
+  mutable states : Journal.states;
 }
 
 let open_follower ~spool =

@@ -26,7 +26,7 @@ type follower = {
   journal : Journal.t;  (** Open for verbatim appends. *)
   spool : string;
   mutable watermark : int;  (** Records durably applied. *)
-  mutable states : (string * Journal.status) list;
+  mutable states : Journal.states;
       (** {!Journal.fold} of the applied prefix — kept in lockstep with
           [watermark] so local reads are consistent with durability. *)
 }

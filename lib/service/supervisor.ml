@@ -65,14 +65,14 @@ let run ?(notify = fun _ -> ()) cfg =
     (fun () ->
       (* admit new spool files *)
       let jobs = jobs_in ~spool in
-      List.iter (fun job -> if not (List.mem_assoc job !states) then record Journal.Queued job) jobs;
+      List.iter (fun job -> if Journal.find !states job = None then record Journal.Queued job) jobs;
       (* each job's next attempt number, per the journal: completed and
          dead jobs are done; a Running state at startup is a crashed
          attempt (the process died holding the job) with the same
          recovery as a graceful abandon — the attempt is consumed,
          resume from the checkpoint *)
       let next_attempt job =
-        match List.assoc_opt job !states with
+        match Journal.find !states job with
         | Some (Journal.Completed _) | Some (Journal.Dead _) -> None
         | Some (Journal.Pending { attempts }) -> Some (attempts + 1)
         | Some (Journal.Running { attempt }) | Some (Journal.Interrupted { attempt }) ->
@@ -88,7 +88,7 @@ let run ?(notify = fun _ -> ()) cfg =
       in
       let exit_code () =
         if !stop then shutdown_exit_code
-        else if List.exists (function _, Journal.Dead _ -> true | _ -> false) !states then
+        else if Journal.exists (function Journal.Dead _ -> true | _ -> false) !states then
           failed_jobs_exit_code
         else drained_exit_code
       in
@@ -167,18 +167,17 @@ let run ?(notify = fun _ -> ()) cfg =
 (* ------------------------------------------------------------------ *)
 (* reporting                                                           *)
 
+(* report every spool file as if [run] had just admitted it: a Queued
+   leaves a journaled job as it is, so only unseen files are added,
+   pending, after every journaled job *)
 let report ~spool =
-  let states = Journal.fold (Journal.replay ~spool) in
-  let unseen =
-    List.filter_map
-      (fun job ->
-        if List.mem_assoc job states then None else Some (job, Journal.Pending { attempts = 0 }))
-      (jobs_in ~spool)
-  in
-  states @ unseen
+  List.fold_left
+    (fun states job -> Journal.apply states { Journal.job; event = Journal.Queued })
+    (Journal.fold (Journal.replay ~spool))
+    (jobs_in ~spool)
 
 let render_report ~spool =
-  let entries = report ~spool in
+  let entries = Journal.to_list (report ~spool) in
   let buf = Buffer.create 256 in
   let width =
     List.fold_left (fun acc (job, _) -> max acc (String.length job)) (String.length "job") entries

@@ -68,9 +68,10 @@ val run : ?notify:(Journal.record -> unit) -> config -> int
     journal file. It runs in the journal-owning process; keep it
     fast and never let it raise. *)
 
-val report : spool:string -> (string * Journal.status) list
+val report : spool:string -> Journal.states
 (** Current job states: the journal's view, plus spool instance files
-    the journal has not seen yet (as pending). *)
+    the journal has not seen yet (as pending, after every journaled
+    job in {!Journal.to_list} order). *)
 
 val render_report : spool:string -> string
 (** Human-readable table for [rtt jobs], with a trailing

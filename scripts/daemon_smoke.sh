@@ -5,9 +5,11 @@
 # all of them plus 2 fresh instances, wait for everything, and assert
 # the union of the shard journals shows exactly 8 jobs, all done —
 # duplicates coalesced fleet-wide even when the accepting shard is not
-# the owner.  The whole run is wrapped in a hard timeout by the caller
-# (CI) or the default `timeout` below, so a wedged daemon is a
-# failure, not a hang.
+# the owner. After a clean drain it restarts the daemon on the same
+# spool: the replayed job state must answer `status` for all 8 ids and
+# coalesce a resubmission without journaling anything.  The whole run
+# is wrapped in a hard timeout by the caller (CI) or the default
+# `timeout` below, so a wedged daemon is a failure, not a hang.
 set -euo pipefail
 
 RTT=${RTT:-_build/default/bin/rtt.exe}
@@ -25,6 +27,20 @@ cleanup() {
 }
 trap cleanup EXIT
 
+wait_for_socket() {
+  for _ in $(seq 1 100); do
+    [[ -S "$SOCKET" ]] && return 0
+    sleep 0.1
+  done
+  echo "FAIL: daemon never created its socket"
+  exit 1
+}
+journal_lines() {
+  for shard in shard-0 shard-1; do
+    wc -l < "$SPOOL/$shard/journal.log"
+  done
+}
+
 # six unique instances; submissions 7 and 8 duplicate the first two
 for i in 1 2 3 4 5 6; do
   # n = 8*i gives each instance a distinct hub count — the hub
@@ -41,11 +57,7 @@ cp "$WORK/in_2.txt" "$WORK/in_8.txt"
 DAEMON_PID=$!
 
 # wait for the socket to appear (daemon binds before accepting)
-for _ in $(seq 1 100); do
-  [[ -S "$SOCKET" ]] && break
-  sleep 0.1
-done
-[[ -S "$SOCKET" ]] || { echo "FAIL: daemon never created its socket"; exit 1; }
+wait_for_socket
 
 # 8 concurrent waiters; every one must come back with a rendered result
 # (half of these land on a shard that does not own the job and are
@@ -72,6 +84,8 @@ printf '%s\n' "$WORK"/in_*.txt > "$WORK/manifest.txt"
   > "$WORK/batch.txt" \
   || { echo "FAIL: batch submit exited non-zero"; cat "$WORK/batch.txt"; exit 1; }
 ACKS=$(grep -c '^/' "$WORK/batch.txt" || true)
+mapfile -t IDS < <(awk '/^\// {print $2}' "$WORK/batch.txt" | sort -u)
+IN1_ID=$(awk -v p="$WORK/in_1.txt" '$1 == p {print $2}' "$WORK/batch.txt")
 DONES=$(grep -c ' done$' "$WORK/batch.txt" || true)
 if [[ "$ACKS" -ne 10 || "$DONES" -ne 8 ]]; then
   echo "FAIL: batch expected 10 acks and 8 distinct done lines, got acks=$ACKS done=$DONES"
@@ -128,4 +142,29 @@ if compgen -G "$SOCKET.shard*" >/dev/null; then
   exit 1
 fi
 
-echo "PASS: 8 waiters + 10-entry pipelined batch over 2 shards, 8 unique jobs done, duplicates coalesced fleet-wide, session round trip warm==cold, clean drain"
+# restart on the same spool: the shards rebuild their job state from
+# their journals, and every lookup below is answered from that replay
+LINES_BEFORE=$(journal_lines)
+"$RTT" daemon --spool "$SPOOL" --socket "$SOCKET" --shards 2 -b 3 --workers 2 &
+DAEMON_PID=$!
+wait_for_socket
+[[ "${#IDS[@]}" -eq 8 ]] \
+  || { echo "FAIL: expected 8 distinct ids in the batch acks, got ${#IDS[@]}"; exit 1; }
+for id in "${IDS[@]}"; do
+  STATE=$("$RTT" status "$id" --socket "$SOCKET") \
+    || { echo "FAIL: after restart, status $id exited non-zero"; exit 1; }
+  [[ "$STATE" == *'"state":"done"'* ]] \
+    || { echo "FAIL: after restart, $id is not done: $STATE"; exit 1; }
+done
+# a known instance coalesces onto its existing id and journals nothing
+AGAIN=$("$RTT" submit "$WORK/in_1.txt" --socket "$SOCKET") \
+  || { echo "FAIL: resubmit after restart exited non-zero"; exit 1; }
+[[ -n "$IN1_ID" && "$AGAIN" == "$IN1_ID" ]] \
+  || { echo "FAIL: resubmit after restart answered '$AGAIN', expected '$IN1_ID'"; exit 1; }
+[[ "$(journal_lines)" == "$LINES_BEFORE" ]] \
+  || { echo "FAIL: restart or resubmit appended journal records"; exit 1; }
+kill -TERM "$DAEMON_PID"
+wait "$DAEMON_PID" || { echo "FAIL: restarted daemon exited non-zero on drain"; exit 1; }
+DAEMON_PID=""
+
+echo "PASS: 8 waiters + 10-entry pipelined batch over 2 shards, 8 unique jobs done, duplicates coalesced fleet-wide, session round trip warm==cold, clean drain, restart answers all 8 from replay and coalesces a resubmit without a record"

@@ -379,7 +379,7 @@ let process_units =
               List.filter_map
                 (fun (job, st) ->
                   match st with Journal.Completed _ -> Some job | _ -> None)
-                (Journal.fold (Journal.replay ~spool:a))
+                (Journal.to_list (Journal.fold (Journal.replay ~spool:a)))
             in
             Alcotest.(check bool) "cut left at least one committed done" true
               (committed_done <> []);

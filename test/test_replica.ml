@@ -55,7 +55,7 @@ let replica_units =
     Alcotest.test_case "fresh follower: watermark 0, empty states" `Quick (fun () ->
         let f = Replica.open_follower ~spool:(fresh_dir "fresh") in
         Alcotest.(check int) "watermark" 0 f.Replica.watermark;
-        Alcotest.(check int) "states" 0 (List.length f.Replica.states);
+        Alcotest.(check int) "states" 0 (List.length (Journal.to_list f.Replica.states));
         Replica.close_follower f);
     Alcotest.test_case "apply_line: applied / stale / gap / bad" `Quick (fun () ->
         let spool = fresh_dir "apply" in
@@ -83,7 +83,7 @@ let replica_units =
         (* reopening recovers the same watermark and folded states *)
         let f2 = Replica.open_follower ~spool in
         Alcotest.(check int) "recovered watermark" 2 f2.Replica.watermark;
-        (match List.assoc_opt "a" f2.Replica.states with
+        (match Journal.find f2.Replica.states "a" with
         | Some (Journal.Running { attempt = 1 }) -> ()
         | _ -> Alcotest.fail "states must fold the applied prefix");
         Replica.close_follower f2);
@@ -368,7 +368,7 @@ let process_units =
                 records
             in
             Alcotest.(check int) "exactly one done record" 1 (List.length dones);
-            (match List.assoc_opt (id ^ ".rtt") (Journal.fold records) with
+            (match Journal.find (Journal.fold records) (id ^ ".rtt") with
             | Some (Journal.Completed _) -> ()
             | _ -> Alcotest.fail "journal must fold to Completed")));
     Alcotest.test_case "killed follower catches up from its watermark on restart" `Slow (fun () ->

@@ -120,6 +120,33 @@ let records_gen =
     ~print:(fun rs -> String.concat " | " (List.map Journal.encode rs))
     QCheck.Gen.(list_size (int_range 0 25) (QCheck.gen record_gen))
 
+(* Reference for [Journal.states]: the association-list fold the index
+   replaced, in first-encounter order, copying the list on every step.
+   The index must agree with it entry for entry. *)
+let oracle_apply states { Journal.job; event } =
+  let rec go = function
+    | [] -> [ (job, Journal.step None event) ]
+    | (j, s) :: rest when j = job -> (j, Journal.step (Some s) event) :: rest
+    | entry :: rest -> entry :: go rest
+  in
+  go states
+
+let oracle_fold records = List.fold_left oracle_apply [] records
+
+(* a small pool, so jobs repeat and late events land after a Done;
+   hostile names included (the index is keyed by the raw name) *)
+let pooled_job_names =
+  [ "a.rtt"; "b.rtt"; ""; "with space"; "%41"; "line\nbreak"; "x\000y"; String.make 64 'f' ]
+
+let pooled_records_gen =
+  QCheck.make
+    ~print:(fun rs -> String.concat " | " (List.map Journal.encode rs))
+    QCheck.Gen.(
+      list_size (int_range 0 60)
+        (map
+           (fun (job, event) -> { Journal.job; event })
+           (pair (oneofl pooled_job_names) event_gen)))
+
 let journal_props =
   [
     prop "encode/decode roundtrip (incl. hostile job names)" 300 record_gen (fun r ->
@@ -136,7 +163,14 @@ let journal_props =
         let k = k mod (List.length records + 1) in
         let prefix = List.filteri (fun i _ -> i < k) records in
         let rest = List.filteri (fun i _ -> i >= k) records in
-        List.fold_left Journal.apply (Journal.fold prefix) rest = Journal.fold records);
+        Journal.to_list (List.fold_left Journal.apply (Journal.fold prefix) rest)
+        = Journal.to_list (Journal.fold records));
+    prop "index agrees with the association-list oracle" 300 pooled_records_gen (fun records ->
+        let states = Journal.fold records and oracle = oracle_fold records in
+        Journal.to_list states = oracle
+        && List.for_all
+             (fun job -> Journal.find states job = List.assoc_opt job oracle)
+             ("absent.rtt" :: pooled_job_names));
     prop "torn tail: a truncated final record is dropped, prefix survives" 50 records_gen
       (fun records ->
         let spool = fresh_spool "torn" in
@@ -260,11 +294,12 @@ let journal_units =
               { Journal.job = "a"; event = Journal.Abandoned { attempt = 2 } };
             ]
         in
-        match after with
-        | [ ("a", Journal.Completed { attempt; makespan; _ }) ] ->
+        Alcotest.(check (list string)) "one job" [ "a" ] (List.map fst (Journal.to_list after));
+        match Journal.find after "a" with
+        | Some (Journal.Completed { attempt; makespan; _ }) ->
             Alcotest.(check int) "first attempt won" 1 attempt;
             Alcotest.(check int) "first makespan kept" 9 makespan
-        | _ -> Alcotest.fail "expected a single completed entry");
+        | _ -> Alcotest.fail "expected a completed entry");
     Alcotest.test_case "status machine: transient failure re-pends, permanent kills" `Quick
       (fun () ->
         let st =
@@ -279,7 +314,7 @@ let journal_units =
               };
             ]
         in
-        (match st with
+        (match Journal.to_list st with
         | [ ("a", Journal.Pending { attempts = 1 }) ] -> ()
         | _ -> Alcotest.fail "expected pending after transient failure");
         let st =
@@ -294,9 +329,45 @@ let journal_units =
               };
             ]
         in
-        match st with
-        | [ ("a", Journal.Dead { attempts = 2; error_class = "parse-error" }) ] -> ()
+        (match Journal.find st "a" with
+        | Some (Journal.Dead { attempts = 2; error_class = "parse-error" }) -> ()
         | _ -> Alcotest.fail "expected dead after permanent failure");
+        Alcotest.(check bool) "unknown job" true (Journal.find st "b" = None));
+    (* the daemon applies ~3 records per job to a state that holds its
+       whole history; a step must not copy that history. Allocation is
+       deterministic, so this bound cannot flake the way a timing would *)
+    Alcotest.test_case "one step on a 20,000-job state allocates O(log n) words" `Quick
+      (fun () ->
+        let name i =
+          Digest.to_hex (Digest.string (string_of_int i))
+          ^ Digest.to_hex (Digest.string (string_of_int (-i)))
+          ^ ".rtt"
+        in
+        let history =
+          List.concat_map
+            (fun i ->
+              let job = name i in
+              [
+                { Journal.job; event = Journal.Queued };
+                { Journal.job; event = Journal.Started { attempt = 1 } };
+                {
+                  Journal.job;
+                  event =
+                    Journal.Done
+                      { attempt = 1; makespan = i; budget_used = 1; fuel = 7; cached = false };
+                };
+              ])
+            (List.init 20_000 Fun.id)
+        in
+        let states = Journal.fold history in
+        let fresh = { Journal.job = name 20_000; event = Journal.Queued } in
+        let before = Gc.minor_words () in
+        let after = Sys.opaque_identity (Journal.apply states fresh) in
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check bool) "fresh job added" true
+          (Journal.find after fresh.Journal.job = Some (Journal.Pending { attempts = 0 }));
+        if words >= 1000. then
+          Alcotest.failf "one apply allocated %.0f minor words (bound 1000)" words);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -520,10 +591,11 @@ let supervisor_units =
         let cfg = { (Supervisor.default_config ~spool) with sleep = false; budget = 2 } in
         Alcotest.(check int) "exit" Supervisor.failed_jobs_exit_code (Supervisor.run cfg);
         let statuses = Supervisor.report ~spool in
-        Alcotest.(check string) "bad is dead" "failed"
-          (Journal.status_name (List.assoc "bad.rtt" statuses));
-        Alcotest.(check string) "ok_a done" "done"
-          (Journal.status_name (List.assoc "ok_a.rtt" statuses));
+        let state job =
+          Option.fold ~none:"absent" ~some:Journal.status_name (Journal.find statuses job)
+        in
+        Alcotest.(check string) "bad is dead" "failed" (state "bad.rtt");
+        Alcotest.(check string) "ok_a done" "done" (state "ok_a.rtt");
         (match Supervisor.read_result ~spool ~job:"ok_a.rtt" with
         | Some kvs ->
             Alcotest.(check bool) "result has allocation" true (List.mem_assoc "allocation" kvs);
@@ -574,9 +646,11 @@ let supervisor_units =
               (Retry.backoff ~seed:7 ~job:"only.rtt" ~attempt:1)
               backoff
         | None -> Alcotest.fail "no failure journaled");
-        match List.assoc "only.rtt" (Supervisor.report ~spool) with
-        | Journal.Completed { attempt = 2; _ } -> ()
-        | s -> Alcotest.failf "expected completion on attempt 2, got %s" (Journal.status_name s));
+        match Journal.find (Supervisor.report ~spool) "only.rtt" with
+        | Some (Journal.Completed { attempt = 2; _ }) -> ()
+        | Some s ->
+            Alcotest.failf "expected completion on attempt 2, got %s" (Journal.status_name s)
+        | None -> Alcotest.fail "only.rtt missing from the report");
     Alcotest.test_case "fuel deadline: transient retries, then retries exhaust" `Quick (fun () ->
         let spool = fresh_spool "deadline" in
         write_job ~spool "slow.rtt" (cheap_instance 24);
@@ -594,9 +668,10 @@ let supervisor_units =
         let records = Journal.replay ~spool in
         Alcotest.(check int) "both attempts consumed" 2 (count_events records "slow.rtt" is_started);
         Alcotest.(check int) "no result" 0 (count_events records "slow.rtt" is_done);
-        match List.assoc "slow.rtt" (Supervisor.report ~spool) with
-        | Journal.Dead _ -> ()
-        | s -> Alcotest.failf "expected dead, got %s" (Journal.status_name s));
+        match Journal.find (Supervisor.report ~spool) "slow.rtt" with
+        | Some (Journal.Dead _) -> ()
+        | Some s -> Alcotest.failf "expected dead, got %s" (Journal.status_name s)
+        | None -> Alcotest.fail "slow.rtt missing from the report");
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -671,7 +746,7 @@ let process_units =
         | `Signaled s when s = Sys.sigkill -> ()
         | _ -> Alcotest.fail "expected the process to die by SIGKILL");
         (* the journal survived the kill: job_10 is an in-flight attempt *)
-        (match List.assoc_opt "job_10.rtt" (Journal.fold (Journal.replay ~spool)) with
+        (match Journal.find (Journal.fold (Journal.replay ~spool)) "job_10.rtt" with
         | Some (Journal.Running { attempt = 1 }) -> ()
         | Some s -> Alcotest.failf "job_10 after crash: %s" (Journal.status_name s)
         | None -> Alcotest.fail "job_10 missing from journal");
@@ -687,9 +762,10 @@ let process_units =
         done;
         (* the interrupted job resumed (attempt 2) rather than restarting
            its attempt count *)
-        (match List.assoc "job_10.rtt" (Journal.fold records) with
-        | Journal.Completed { attempt = 2; _ } -> ()
-        | s -> Alcotest.failf "job_10 final state: %s" (Journal.status_name s));
+        (match Journal.find (Journal.fold records) "job_10.rtt" with
+        | Some (Journal.Completed { attempt = 2; _ }) -> ()
+        | Some s -> Alcotest.failf "job_10 final state: %s" (Journal.status_name s)
+        | None -> Alcotest.fail "job_10 missing from journal");
         (* the resumed allocation is identical to the uninterrupted run's,
            and the warm-started attempt burned measurably less fuel *)
         Alcotest.(check (option string))
@@ -730,9 +806,10 @@ let process_units =
           (count_events records "job_00.rtt" (function
             | Journal.Abandoned _ -> true
             | _ -> false));
-        (match List.assoc "job_00.rtt" (Journal.fold records) with
-        | Journal.Interrupted { attempt = 1 } -> ()
-        | s -> Alcotest.failf "after shutdown: %s" (Journal.status_name s));
+        (match Journal.find (Journal.fold records) "job_00.rtt" with
+        | Some (Journal.Interrupted { attempt = 1 }) -> ()
+        | Some s -> Alcotest.failf "after shutdown: %s" (Journal.status_name s)
+        | None -> Alcotest.fail "job_00 missing from journal");
         Alcotest.(check bool) "checkpoint kept for resume" true (Sys.file_exists ckpt);
         Alcotest.(check int) "undone job never started" 0
           (count_events records "job_01.rtt" is_started);
