@@ -382,18 +382,24 @@ let crash_basis sstd ~objective pairs =
        when its entry is nonzero and falling back to any unused basis
        column otherwise; for a nonsingular basis the Schur complement
        stays nonsingular after every pivot, so a usable column always
-       exists and a dead end means the guess was bad. *)
+       exists and a dead end means the guess was bad.
+       The guessed entry (i, c) is w_i of c's FTRAN, which its pivot
+       needs anyway, so the guess is FTRANed first; row i is read
+       through a BTRAN only when that entry is zero and the fallback
+       must scan the whole row. *)
     if !ok then
       Array.iter
         (fun (i, _) ->
           if !ok then begin
             Budget.tick ~stage:"simplex";
-            Array.fill rho 0 m Rat.zero;
-            rho.(i) <- Rat.one;
-            Basis_factor.btran bf rho;
-            let entry c = dot_col rho sstd.s_cols.(c) in
             let col = ref assigned.(i) in
-            if Rat.is_zero (entry !col) then begin
+            load_col w sstd.s_cols.(!col);
+            Basis_factor.ftran bf w;
+            if Rat.is_zero w.(i) then begin
+              Array.fill rho 0 m Rat.zero;
+              rho.(i) <- Rat.one;
+              Basis_factor.btran bf rho;
+              let entry c = dot_col rho sstd.s_cols.(c) in
               col := -1;
               (try
                  for c = 0 to n_real - 1 do
@@ -402,7 +408,11 @@ let crash_basis sstd ~objective pairs =
                      raise Exit
                    end
                  done
-               with Exit -> ())
+               with Exit -> ());
+              if !col >= 0 then begin
+                load_col w sstd.s_cols.(!col);
+                Basis_factor.ftran bf w
+              end
             end;
             if !col < 0 then ok := false
             else begin
@@ -410,8 +420,6 @@ let crash_basis sstd ~objective pairs =
               used.(!col) <- true;
               log_pivot !col (-(i + 1));
               incr pivots;
-              load_col w sstd.s_cols.(!col);
-              Basis_factor.ftran bf w;
               Basis_factor.pivot bf ~w ~row:i
             end
           end)

@@ -345,9 +345,11 @@ let try_warm_start std ~objective =
   let fobj =
     Array.init n_real (fun j -> if j < std.n_vars then Rat.to_float objective.(j) else 0.0)
   in
-  match Fsimplex.solve ~rows:frows ~n_real ~objective:fobj with
+  match Float_advisor.solve ~rows:frows ~n_real ~objective:fobj with
   | None -> None
   | Some pairs -> crash_basis std ~objective pairs
+
+let float_advice = Float_advisor.solve
 
 (* ------------------------------------------------------------------ *)
 

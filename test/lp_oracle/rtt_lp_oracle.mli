@@ -2,13 +2,20 @@
     {!Rtt_lp.Simplex}.
 
     It solves the same problem over the same standard form with the same
-    Bland pricing, ratio-test tie-breaks, fuel ticks, fault sites, float
-    advisor ({!Rtt_lp.Fsimplex.solve}) and crash-and-verify warm start
-    as the production revised engine, but materializes the full tableau
-    and rewrites it on every pivot. Exact arithmetic makes every reduced
-    cost and ratio identical between the two, so the test suite demands
-    bit-identical outcomes, captured bases, pivot logs, pivot counts and
-    fuel; bench E16 times the two against each other.
+    Bland pricing, ratio-test tie-breaks, fuel ticks, fault sites and
+    crash-and-verify warm start as the production revised engine, but
+    materializes the full tableau and rewrites it on every pivot. Exact
+    arithmetic makes every reduced cost and ratio identical between the
+    two, so the test suite demands bit-identical outcomes, captured
+    bases, pivot logs, pivot counts and fuel; bench E16 times the two
+    against each other.
+
+    Its float advisor is {!float_advice}, a copy of the float simplex
+    whose pivots rewrite every column of every row they touch, kept
+    here as the reference for {!Rtt_lp.Fsimplex}, whose pivots update
+    only the pivot row's nonzero columns. A warm start whose advice
+    differed would show up as a different crash pivot log entry or
+    warm-start count.
 
     It follows {!Rtt_lp.Simplex.warmstart_enabled}, so one toggle
     switches the float advisor for both engines. Its counters, pivot
@@ -31,6 +38,14 @@ val minimize_sparse :
   n_vars:int -> Simplex.sparse_constr list -> objective:Rat.t array -> Simplex.outcome
 (** Same contract as {!Rtt_lp.Simplex.minimize_sparse}: the rows are
     expanded to a dense tableau and solved there. *)
+
+val float_advice :
+  rows:float array array -> n_real:int -> objective:float array -> (int * int) array option
+(** The reference advisor: {!Rtt_lp.Fsimplex.solve_cols}'s contract over
+    dense float rows (each row [n_real] coefficients followed by its
+    non-negative right-hand side), with the full-row Gauss-Jordan
+    update. Given the doubles [solve_cols] converts its columns to, the
+    two must return the same pairs. *)
 
 val pivot_count : unit -> int
 (** Cumulative exact pivots of this engine, crash pivots included. *)

@@ -418,6 +418,76 @@ let makespan_lps seed =
   let tr = Rtt_core.Transform.of_problem (Rtt_core.Problem.of_race_dag g kind) in
   List.map (fun budget -> Rtt_core.Lp_relax.makespan_rows tr ~budget) [ 0; 2; 5 ]
 
+(* Makespan LPs the size of the daemon benchmark's [solve] inputs:
+   6 x 5 layered DAGs with general step durations (about 160-240 rows)
+   or k-way durations (about 70-130). At this size the advisor's pivot
+   rows are mostly zeros, and more than half the crash rows take the
+   BTRAN fallback. *)
+let step_duration rng =
+  let base = 2 + Random.State.int rng 9 in
+  let rec steps r t k acc =
+    if k = 0 || t = 0 then List.rev acc
+    else
+      let r' = r + 1 + Random.State.int rng 3 in
+      let t' = max 0 (t - 1 - Random.State.int rng 4) in
+      if t' >= t then List.rev acc else steps r' t' (k - 1) ((r', t') :: acc)
+  in
+  Rtt_duration.Duration.make ((0, base) :: steps 0 base (Random.State.int rng 3) [])
+
+let workload_makespan_lps seed =
+  let rng = Random.State.make [| seed; 1904 |] in
+  let g = Rtt_dag.Gen.layered rng ~layers:6 ~width:5 ~edge_prob:0.3 in
+  let p =
+    if seed mod 2 = 0 then Rtt_core.Problem.make g ~durations:(fun _ -> step_duration rng)
+    else Rtt_core.Problem.of_race_dag g Rtt_core.Problem.Kway
+  in
+  let tr = Rtt_core.Transform.of_problem p in
+  List.map (fun budget -> Rtt_core.Lp_relax.makespan_rows tr ~budget) [ 0; 6 ]
+
+(* every LP, cold and float-warm *)
+let makespan_lps_agree lps =
+  List.for_all
+    (fun (n_vars, rows, objective) ->
+      List.for_all
+        (fun warm ->
+          with_warmstart warm (fun () ->
+              check_engines_agree (fun impl -> fingerprint_run impl ~n_vars rows ~objective)))
+        [ false; true ])
+    lps
+
+(* A standard-form system (rhs >= 0) whose entries include +-10^400,
+   which [Rat.to_float] turns into +-infinity: a pivot whose multiplier
+   is infinite must write the same NaNs as the full-row update. Returns
+   the production advisor's input and the reference's dense rows. *)
+let advisor_instance_with_infinity seed =
+  let rng = Random.State.make [| seed; 4242 |] in
+  let m = 1 + Random.State.int rng 5 and n_real = 1 + Random.State.int rng 5 in
+  let huge = Rat.of_string ("1" ^ String.make 400 '0') in
+  let entry () =
+    match Random.State.int rng 10 with
+    | 0 -> huge
+    | 1 -> Rat.neg huge
+    | _ -> Rat.of_int (Random.State.int rng 9 - 3)
+  in
+  let a = Array.init m (fun _ -> Array.init n_real (fun _ -> entry ())) in
+  let rhs =
+    Array.init m (fun _ ->
+        if Random.State.int rng 8 = 0 then huge else Rat.of_int (Random.State.int rng 6))
+  in
+  let objective = Array.init n_real (fun _ -> float_of_int (Random.State.int rng 11 - 5)) in
+  let cols =
+    Array.init n_real (fun j ->
+        Array.of_list
+          (List.filter_map
+             (fun i -> if Rat.is_zero a.(i).(j) then None else Some (i, a.(i).(j)))
+             (List.init m Fun.id)))
+  in
+  let rows =
+    Array.init m (fun i ->
+        Array.init (n_real + 1) (fun j -> Rat.to_float (if j = n_real then rhs.(i) else a.(i).(j))))
+  in
+  (m, n_real, cols, rhs, objective, rows)
+
 let differential_props =
   [
     prop "engines agree bit for bit: cold two-phase (Bland)" 400 QCheck.(int_range 0 100_000)
@@ -431,15 +501,21 @@ let differential_props =
         with_warmstart true (fun () ->
             check_engines_agree (fun impl -> fingerprint_run impl ~n_vars rows ~objective)));
     prop "engines agree bit for bit: Section 3.1 makespan LP" 100 QCheck.(int_range 0 100_000)
-      (fun seed ->
-        List.for_all
-          (fun (n_vars, rows, objective) ->
-            List.for_all
-              (fun warm ->
-                with_warmstart warm (fun () ->
-                    check_engines_agree (fun impl -> fingerprint_run impl ~n_vars rows ~objective)))
-              [ false; true ])
-          (makespan_lps seed));
+      (fun seed -> makespan_lps_agree (makespan_lps seed));
+    prop "engines agree bit for bit: workload-sized makespan LP" 10 QCheck.(int_range 0 100_000)
+      (fun seed -> makespan_lps_agree (workload_makespan_lps seed));
+    Alcotest.test_case "advisor matches the full-row reference on rows with infinities" `Quick
+      (fun () ->
+        for seed = 0 to 499 do
+          let m, n_real, cols, rhs, objective, rows = advisor_instance_with_infinity seed in
+          let sparse =
+            Fsimplex.solve_cols ~m ~n_real ~col:(Array.get cols) ~rhs
+              ~objective:(Array.get objective)
+          in
+          let full = Oracle.float_advice ~rows ~n_real ~objective in
+          Alcotest.(check (option (array (pair int int))))
+            (Printf.sprintf "seed %d" seed) full sparse
+        done);
     prop "engines agree on the basis-hint path" 200 QCheck.(int_range 0 100_000)
       (fun seed ->
         let n_vars, rows, objective = random_instance seed in
