@@ -26,12 +26,19 @@ let options_of (p : Problem.t) ~cap =
       | [] -> [ (0, Duration.base_time p.durations.(v)) ]
       | l -> l)
 
-(* Lower bound on the makespan of any completion of a partial assignment
-   over vertices [0 .. n_set - 1]: assigned vertices keep their chosen
-   duration, unassigned ones optimistically take their best one. *)
-let partial_lower_bound (p : Problem.t) time n_set =
-  Longest_path.makespan p.dag ~weight:(fun v ->
-      if v < n_set then time.(v) else Duration.best_time p.durations.(v))
+(* The search's per-node weights: at the node deciding vertex [v],
+   vertices [0 .. v - 1] hold their chosen duration and the rest their
+   best one. The longest path over them lower-bounds the makespan of
+   any completion, and at a leaf it is the makespan. [descend] sets a
+   vertex's weight for each option and restores its best time after
+   the last one, so the array is right at every node. *)
+let descend weights best_time v options go =
+  List.iter
+    (fun (r, t) ->
+      weights.(v) <- t;
+      go r)
+    options;
+  weights.(v) <- best_time.(v)
 
 (* Incumbent snapshots: the branch-and-bound state worth persisting is
    the best solution found so far. A resumed search primed with it prunes
@@ -82,25 +89,24 @@ let min_makespan ?(max_states = 2_000_000) ?warm_start ?warm_hint (p : Problem.t
   | Some a when Array.length a = n && Array.for_all (fun r -> r >= 0) a ->
       if Schedule.min_budget p a <= budget then cap := Schedule.makespan p a + 1
   | _ -> ());
-  let alloc = Array.make n 0 and time = Array.make n 0 in
+  let plan = Longest_path.plan p.dag in
+  let best_time = Array.map Duration.best_time p.durations in
+  let weights = Array.copy best_time and alloc = Array.make n 0 in
   let rec go v =
     Budget.tick ~stage:"exact";
     if !best.makespan < max_int then Budget.checkpoint (fun () -> snapshot_of !best);
-    if partial_lower_bound p time v >= min !best.makespan !cap then ()
+    let bound = Longest_path.plan_makespan plan weights in
+    if bound >= min !best.makespan !cap then ()
     else if v = n then begin
-      let ms = Longest_path.makespan p.dag ~weight:(fun u -> time.(u)) in
-      if ms < !best.makespan then begin
-        let used = Schedule.min_budget p alloc in
-        if used <= budget then best := { makespan = ms; budget_used = used; allocation = Array.copy alloc }
-      end
+      (* a leaf's bound is its makespan, and it beats the incumbent *)
+      let used = Schedule.min_budget p alloc in
+      if used <= budget then
+        best := { makespan = bound; budget_used = used; allocation = Array.copy alloc }
     end
     else
-      List.iter
-        (fun (r, t) ->
+      descend weights best_time v options.(v) (fun r ->
           alloc.(v) <- r;
-          time.(v) <- t;
           go (v + 1))
-        options.(v)
   in
   go 0;
   (* the zero allocation is always feasible, so a solution exists *)
@@ -114,26 +120,23 @@ let min_resource ?(max_states = 2_000_000) (p : Problem.t) ~target =
   check_size ~max_states options;
   let n = Problem.n_jobs p in
   let best = ref None in
-  let alloc = Array.make n 0 and time = Array.make n 0 in
+  let plan = Longest_path.plan p.dag in
+  let best_time = Array.map Duration.best_time p.durations in
+  let weights = Array.copy best_time and alloc = Array.make n 0 in
   let rec go v =
     Budget.tick ~stage:"exact";
-    if partial_lower_bound p time v > target then ()
+    let bound = Longest_path.plan_makespan plan weights in
+    if bound > target then ()
     else if v = n then begin
-      let ms = Longest_path.makespan p.dag ~weight:(fun u -> time.(u)) in
-      if ms <= target then begin
-        let used = Schedule.min_budget p alloc in
-        match !best with
-        | Some b when b.budget_used <= used -> ()
-        | _ -> best := Some { makespan = ms; budget_used = used; allocation = Array.copy alloc }
-      end
+      let used = Schedule.min_budget p alloc in
+      match !best with
+      | Some b when b.budget_used <= used -> ()
+      | _ -> best := Some { makespan = bound; budget_used = used; allocation = Array.copy alloc }
     end
     else
-      List.iter
-        (fun (r, t) ->
+      descend weights best_time v options.(v) (fun r ->
           alloc.(v) <- r;
-          time.(v) <- t;
           go (v + 1))
-        options.(v)
   in
   go 0;
   !best

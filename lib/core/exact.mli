@@ -7,7 +7,18 @@
     for the small instances against which the approximation algorithms
     are validated in the benchmarks. Branch-and-bound pruning on a
     partial-assignment makespan lower bound keeps typical instances
-    fast. *)
+    fast.
+
+    Each call builds one {!Rtt_dag.Longest_path.plan} of the instance's
+    DAG, so a node's bound costs one allocation-free pass over it and a
+    per-vertex weight array (decided vertices at their chosen time, the
+    rest at their best time) that the search sets on descent and
+    restores on backtrack. At a leaf that bound is the makespan. The
+    bound's value is the longest path it always was, so the search
+    visits the same nodes in the same order, ticks the same fuel, makes
+    the same min-flow calls and offers the same checkpoints; only the
+    cost of each bound changed. The plan lives for one call, since a
+    session mutates its DAG between solves. *)
 
 type t = { makespan : int; budget_used : int; allocation : int array }
 

@@ -103,11 +103,12 @@ let exact ?(max_states = 2_000_000) (p : Problem.t) ~budget =
   in
   if states > max_states then raise (Exact.Too_large states);
   let best = ref { Exact.makespan = max_int; budget_used = 0; allocation = Array.make n 0 } in
+  let plan = Longest_path.plan p.Problem.dag in
   let alloc = Array.make n 0 and time = Array.make n 0 in
   let rec go v spent =
     if spent > budget then ()
     else if v = n then begin
-      let ms = Longest_path.makespan p.Problem.dag ~weight:(fun u -> time.(u)) in
+      let ms = Longest_path.plan_makespan plan time in
       if ms < !best.Exact.makespan then
         best := { Exact.makespan = ms; budget_used = spent; allocation = Array.copy alloc }
     end

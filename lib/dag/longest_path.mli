@@ -6,6 +6,27 @@
     Equivalently, the makespan is the maximum over source→sink paths of
     the sum of node works — e.g. the DAG of Figure 4 has makespan 11. *)
 
+type plan
+(** A DAG prepared for repeated longest-path passes: its topological
+    order and, per vertex in that order, its predecessors, packed into
+    int arrays, plus a scratch array of finish times.
+
+    A plan is a snapshot of the graph when {!plan} ran. It does not see
+    later [Dag.add_edge] or [Dag.add_vertex] calls, so build it inside
+    the computation that uses it and drop it there (the exact solvers
+    build one per solve, because a session mutates its DAG between
+    solves). Its scratch array makes one plan serve one pass at a
+    time. *)
+
+val plan : Dag.t -> plan
+(** One topological sort, done once.
+    @raise Dag.Cycle if the graph is not acyclic. *)
+
+val plan_makespan : plan -> int array -> int
+(** [plan_makespan p weights] is [makespan g ~weight:(fun v -> weights.(v))]
+    for the graph [g] that [p] was built from, computed in one
+    allocation-free pass over [p]. [weights] is indexed by vertex. *)
+
 val finish_times : Dag.t -> weight:(Dag.vertex -> int) -> int array
 (** [finish_times g ~weight] gives each vertex's earliest finish time:
     [finish v = weight v + max (0, max over predecessors of finish)].

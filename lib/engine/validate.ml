@@ -37,14 +37,22 @@ let check (p : Problem.t) (c : claim) =
         else if budget_used <> c.budget_used then mismatch_int "budget" c.budget_used budget_used
         else begin
           (* Resource-side certificate: single-criteria rungs must fit
-             the requested budget; the bi-criteria rung may exceed it up
-             to its proven 1/(1-alpha) factor. *)
+             the requested budget; the bi-criteria rungs may exceed it up
+             to their proven factor of the LP's use, which itself must
+             fit the budget. *)
           let rat_budget_bound bound what =
             if Rat.(Rat.of_int budget_used <= bound) then Ok ()
             else mismatch "budget bound" (Rat.to_string bound ^ what) (string_of_int budget_used)
           in
           let budget_ok =
             match (c.rung, c.alpha, c.lp_budget) with
+            | (Policy.Bicriteria | Policy.Binary_bicriteria), _, Some lp_budget
+              when Rat.(lp_budget > Rat.of_int c.budget) ->
+                (* both rungs solve the LP with a budget row, so an
+                   honest LP never uses more than the budget *)
+                mismatch "LP budget"
+                  (Printf.sprintf "<= %d (the budget)" c.budget)
+                  (Rat.to_string lp_budget)
             | Policy.Bicriteria, Some alpha, Some lp_budget ->
                 rat_budget_bound (Rat.div lp_budget (Rat.sub Rat.one alpha)) " (LP/(1-alpha))"
             | Policy.Binary_bicriteria, _, Some lp_budget ->

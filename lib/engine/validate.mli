@@ -4,6 +4,8 @@
     scratch — makespan by longest path, resource cost by the min-flow
     feasibility oracle ({!Rtt_core.Schedule.min_budget}), and, when an
     LP lower bound is available, the rung's proven approximation factor.
+    A bi-criteria claim's LP resource use must also fit the budget,
+    since both bi-criteria rungs solve their LP under it.
     Any disagreement is an {!Error.Certificate_mismatch}, never a
     silently wrong answer. *)
 

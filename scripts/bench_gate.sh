@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Perf gate for the LP-heavy bench sections plus the worker-pool
-# throughput section.
+# Perf gate for the LP-heavy bench sections, the worker-pool
+# throughput section, and two exact-rung sections.
 #
 # For each gated section: run it twice with --json (one bench process
 # runs all sections, twice) and compare the faster run against the
@@ -12,17 +12,16 @@
 # committed baseline is under the floor (50 ms) are below timer noise
 # and are reported informationally, never failed.
 #
-# Wall time, not fuel: fuel counts are already asserted bit-for-bit by
-# the bench verdicts; this gate exists to catch constant-factor
-# regressions (a lost fast path, an accidental deep copy) that fuel
-# cannot see.
+# Wall time catches constant-factor regressions (a lost fast path, an
+# accidental deep copy) that the step counts cannot see.
 #
-# Pivot and warm-start counts ARE gated bit-for-bit: Bland's rule over
-# exact rationals is deterministic, so any drift in a section's
-# `pivots`, `warm_accepted` or `warm_rejected` field against the
-# committed baseline means the simplex took a different path — a
-# semantic change that must be reviewed and recommitted deliberately,
-# never absorbed as noise.
+# Fuel, pivot and warm-start counts are gated bit-for-bit: Bland's rule
+# over exact rationals and the exact rung's branch-and-bound are
+# deterministic, so any drift in a section's `fuel`, `pivots`,
+# `warm_accepted` or `warm_rejected` field against the committed
+# baseline means a solver took a different path — a semantic change
+# that must be reviewed and recommitted deliberately, never absorbed as
+# noise.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,15 +29,16 @@ BASELINE=BENCH_5.json
 BENCH=_build/default/bench/main.exe
 
 # section -> regression budget (T1 forks workers, so it breathes more)
-SECTIONS=(E1 E2 E3 E14 E16 A2 A4 T1 S1)
+SECTIONS=(E1 E2 E3 E14 E16 A2 A4 A5 E8 T1 S1)
 budget_of() { case "$1" in T1) echo 1.3 ;; *) echo 1.2 ;; esac; }
 FLOOR=0.05
 
-# LP-heavy sections whose Bland pivot sequence is deterministic: the
-# fresh `pivots`, `warm_accepted` and `warm_rejected` counts must equal
-# the committed baseline exactly
-PIVOT_SECTIONS=(E1 E2 E3 E14 E16 A2 A4 S1)
-EXACT_FIELDS=(pivots warm_accepted warm_rejected)
+# Sections whose solver path is deterministic (Bland pivots, or the
+# exact rung's search alone for A5 and E8): the fresh `fuel`, `pivots`,
+# `warm_accepted` and `warm_rejected` counts must equal the committed
+# baseline exactly
+EXACT_SECTIONS=(E1 E2 E3 E14 E16 A2 A4 A5 E8 S1)
+EXACT_FIELDS=(fuel pivots warm_accepted warm_rejected)
 
 [ -x "$BENCH" ] || { echo "bench_gate: $BENCH missing — run dune build first" >&2; exit 2; }
 [ -f "$BASELINE" ] || { echo "bench_gate: committed baseline $BASELINE missing" >&2; exit 2; }
@@ -75,13 +75,13 @@ for sec in "${SECTIONS[@]}"; do
     grep -q '"id":"'"$sec"'".*"ok":true' "$tmp/run$run/BENCH_5.json" \
       || { echo "bench_gate: $sec failed its own verdict" >&2; exit 1; }
   done
-  if [[ " ${PIVOT_SECTIONS[*]} " == *" $sec "* ]]; then
+  if [[ " ${EXACT_SECTIONS[*]} " == *" $sec "* ]]; then
     for field in "${EXACT_FIELDS[@]}"; do
       base_v=$(field_of "$BASELINE" "$sec" "$field")
       fresh_v=$(field_of "$tmp/run1/BENCH_5.json" "$sec" "$field")
       if [ -z "$base_v" ] || [ "$fresh_v" != "$base_v" ]; then
         echo "bench_gate: FAIL — $sec $field is $fresh_v against a baseline of $base_v; the" >&2
-        echo "            simplex path changed — if intentional, recommit $BASELINE" >&2
+        echo "            solver path changed — if intentional, recommit $BASELINE" >&2
         fail=1
       else
         echo "bench_gate: OK — $sec $field $fresh_v matches the committed baseline exactly"

@@ -8,6 +8,7 @@
 open Rtt_dag
 open Rtt_duration
 open Rtt_num
+open Rtt_budget
 open Rtt_core
 
 let rng_of seed = Random.State.make [| seed |]
@@ -36,22 +37,23 @@ let fig45 () =
   Dag.add_edge g d t;
   g
 
+(* random general step durations, one call per vertex *)
+let step_durations rng ~max_tuples _v =
+  let base = 2 + Random.State.int rng 9 in
+  let rec steps r t k acc =
+    if k = 0 || t = 0 then List.rev acc
+    else begin
+      let r' = r + 1 + Random.State.int rng 3 in
+      let t' = max 0 (t - 1 - Random.State.int rng 4) in
+      if t' >= t then List.rev acc else steps r' t' (k - 1) ((r', t') :: acc)
+    end
+  in
+  Duration.make ((0, base) :: steps 0 base (Random.State.int rng max_tuples) [])
+
 (* small random instance with general step durations *)
 let random_instance rng ~n ~max_tuples =
   let g = Gen.erdos_renyi rng ~n ~edge_prob:0.4 in
-  let durations _v =
-    let base = 2 + Random.State.int rng 9 in
-    let rec steps r t k acc =
-      if k = 0 || t = 0 then List.rev acc
-      else begin
-        let r' = r + 1 + Random.State.int rng 3 in
-        let t' = max 0 (t - 1 - Random.State.int rng 4) in
-        if t' >= t then List.rev acc else steps r' t' (k - 1) ((r', t') :: acc)
-      end
-    in
-    Duration.make ((0, base) :: steps 0 base (Random.State.int rng max_tuples) [])
-  in
-  Problem.make g ~durations
+  Problem.make g ~durations:(step_durations rng ~max_tuples)
 
 let problem_units =
   [
@@ -480,6 +482,220 @@ let exact_units =
         done);
   ]
 
+(* The reference branch-and-bound: Exact's search with its bound
+   computed from scratch, one [Longest_path.makespan] (and so one
+   topological sort) per node plus one more for a leaf's makespan. It
+   ticks, offers checkpoints and calls min-flow where Exact does, so the
+   two must agree on the answer, the fuel and every snapshot. *)
+module Exact_ref = struct
+  let options_of (p : Problem.t) ~cap =
+    Array.init (Problem.n_jobs p) (fun v ->
+        let tuples = Duration.tuples p.Problem.durations.(v) in
+        match List.filter (fun (r, _) -> r <= cap) tuples with
+        | [] -> [ (0, Duration.base_time p.Problem.durations.(v)) ]
+        | l -> l)
+
+  let bound (p : Problem.t) time n_set =
+    Longest_path.makespan p.Problem.dag ~weight:(fun v ->
+        if v < n_set then time.(v) else Duration.best_time p.Problem.durations.(v))
+
+  let usable n = function
+    | Some a when Array.length a = n && Array.for_all (fun r -> r >= 0) a -> Some a
+    | _ -> None
+
+  let min_makespan ?warm_start ?warm_hint (p : Problem.t) ~budget =
+    let options = options_of p ~cap:budget in
+    let n = Problem.n_jobs p in
+    let best = ref { Exact.makespan = max_int; budget_used = 0; allocation = Array.make n 0 } in
+    (match usable n warm_start with
+    | Some a ->
+        let used = Schedule.min_budget p a in
+        if used <= budget then
+          best :=
+            {
+              Exact.makespan = Schedule.makespan p a;
+              budget_used = used;
+              allocation = Array.copy a;
+            }
+    | None -> ());
+    let cap = ref max_int in
+    (match usable n warm_hint with
+    | Some a -> if Schedule.min_budget p a <= budget then cap := Schedule.makespan p a + 1
+    | None -> ());
+    let alloc = Array.make n 0 and time = Array.make n 0 in
+    let rec go v =
+      Budget.tick ~stage:"exact";
+      if !best.Exact.makespan < max_int then Budget.checkpoint (fun () -> Exact.snapshot_of !best);
+      if bound p time v >= min !best.Exact.makespan !cap then ()
+      else if v = n then begin
+        let ms = Longest_path.makespan p.Problem.dag ~weight:(fun u -> time.(u)) in
+        if ms < !best.Exact.makespan then begin
+          let used = Schedule.min_budget p alloc in
+          if used <= budget then
+            best := { Exact.makespan = ms; budget_used = used; allocation = Array.copy alloc }
+        end
+      end
+      else
+        List.iter
+          (fun (r, t) ->
+            alloc.(v) <- r;
+            time.(v) <- t;
+            go (v + 1))
+          options.(v)
+    in
+    go 0;
+    !best
+
+  let min_resource (p : Problem.t) ~target =
+    let options = options_of p ~cap:(Problem.max_meaningful_budget p) in
+    let n = Problem.n_jobs p in
+    let best = ref None in
+    let alloc = Array.make n 0 and time = Array.make n 0 in
+    let rec go v =
+      Budget.tick ~stage:"exact";
+      if bound p time v > target then ()
+      else if v = n then begin
+        let ms = Longest_path.makespan p.Problem.dag ~weight:(fun u -> time.(u)) in
+        if ms <= target then begin
+          let used = Schedule.min_budget p alloc in
+          match !best with
+          | Some b when b.Exact.budget_used <= used -> ()
+          | _ ->
+              best :=
+                Some { Exact.makespan = ms; budget_used = used; allocation = Array.copy alloc }
+        end
+      end
+      else
+        List.iter
+          (fun (r, t) ->
+            alloc.(v) <- r;
+            time.(v) <- t;
+            go (v + 1))
+          options.(v)
+    in
+    go 0;
+    !best
+end
+
+(* the same graph with its vertices renumbered at random, so that
+   vertex order stops being a topological order *)
+let relabel rng g =
+  let n = Dag.n_vertices g in
+  let perm = Array.init n (fun i -> i) in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- t
+  done;
+  Dag.of_edges ~n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Dag.edges g))
+
+(* chains of feeders fanning into hubs, the session workload's shape;
+   a hub fed by 6 or more has a binary-split tradeoff *)
+let hub_dag rng =
+  let g = Dag.create () in
+  let prev = ref (Dag.add_vertex g) in
+  for _ = 1 to 1 + Random.State.int rng 2 do
+    let hub = Dag.add_vertex g in
+    for _ = 1 to 4 + Random.State.int rng 4 do
+      let f = Dag.add_vertex g in
+      Dag.add_edge g !prev f;
+      Dag.add_edge g f hub
+    done;
+    prev := hub
+  done;
+  g
+
+(* forward edges only, with no super source or sink: [Problem.make]
+   adds them whenever there are several sources or sinks *)
+let loose_dag rng ~n =
+  let es = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if Random.State.float rng 1. < 0.3 then es := (u, v) :: !es
+    done
+  done;
+  Dag.of_edges ~n !es
+
+let differential_instance seed =
+  let rng = rng_of seed in
+  let g =
+    match Random.State.int rng 3 with
+    | 0 -> Gen.layered rng ~layers:(2 + Random.State.int rng 2) ~width:3 ~edge_prob:0.3
+    | 1 -> hub_dag rng
+    | _ -> loose_dag rng ~n:(4 + Random.State.int rng 4)
+  in
+  let g = if Random.State.bool rng then relabel rng g else g in
+  (* in the two [Problem.make] cases at most 5 vertices get a tradeoff,
+     of at most 3 options each, which keeps every search small *)
+  let traded = Array.make (Dag.n_vertices g) false in
+  for _ = 1 to 5 do
+    traded.(Random.State.int rng (Dag.n_vertices g)) <- true
+  done;
+  let durations tradeoff v =
+    if traded.(v) then tradeoff v else Duration.constant (Random.State.int rng 6)
+  in
+  match Random.State.int rng 3 with
+  | 0 -> Problem.of_race_dag g Problem.Binary
+  | 1 ->
+      (* binary splits: only works of 6 or more have a tradeoff, and
+         small DAGs rarely have such in-degrees *)
+      Problem.make g
+        ~durations:(durations (fun _ -> Binary_split.to_duration ~work:(6 + Random.State.int rng 4)))
+  | _ -> Problem.make g ~durations:(durations (step_durations rng ~max_tuples:3))
+
+(* answer, fuel and checkpoint snapshots of one solve *)
+let observe f =
+  let snaps = ref [] in
+  Budget.with_fuel None (fun () ->
+      let r = Budget.with_checkpoint ~every:3 (fun s -> snaps := s :: !snaps) f in
+      (r, Budget.spent (), !snaps))
+
+let differential_props =
+  [
+    prop "min_makespan equals the reference search: answer, fuel, snapshots" 100
+      QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let p = differential_instance seed in
+        let rng = rng_of (seed + 1) in
+        let n = Problem.n_jobs p in
+        let random_alloc () =
+          Array.init n (fun v ->
+              match Duration.tuples (Problem.duration p v) with
+              | [] -> 0
+              | ts -> fst (List.nth ts (Random.State.int rng (List.length ts))))
+        in
+        let prev = ref (Array.make n 0) and ok = ref true in
+        for budget = 0 to Problem.max_meaningful_budget p do
+          let same ?warm_start ?warm_hint () =
+            let want =
+              observe (fun () -> Exact_ref.min_makespan ?warm_start ?warm_hint p ~budget)
+            in
+            let got = observe (fun () -> Exact.min_makespan ?warm_start ?warm_hint p ~budget) in
+            if got <> want then ok := false;
+            let r, _, _ = got in
+            r
+          in
+          let cold = same () in
+          ignore (same ~warm_start:!prev ());
+          ignore (same ~warm_hint:!prev ());
+          ignore (same ~warm_start:(random_alloc ()) ~warm_hint:(random_alloc ()) ());
+          prev := cold.Exact.allocation
+        done;
+        !ok);
+    prop "min_resource equals the reference search: answer and fuel" 100 QCheck.(int_range 0 100_000)
+      (fun seed ->
+        let p = differential_instance seed in
+        let zero = Schedule.makespan p (Schedule.zero_allocation p) in
+        let full = Exact.min_makespan p ~budget:(Problem.max_meaningful_budget p) in
+        let best = full.Exact.makespan in
+        List.for_all
+          (fun target ->
+            observe (fun () -> Exact.min_resource p ~target)
+            = observe (fun () -> Exact_ref.min_resource p ~target))
+          (List.sort_uniq compare [ 0; max 0 (best - 1); best; (best + zero) / 2; zero ]));
+  ]
+
 let reuse_units =
   [
     Alcotest.test_case "chain: paths and global collapse to one job's worth" `Quick (fun () ->
@@ -794,6 +1010,7 @@ let () =
       ("series-parallel-dp", sp_units);
       ("series-parallel-properties", sp_props);
       ("exact", exact_units);
+      ("exact-differential", differential_props);
       ("reuse-regimes", reuse_units);
       ("io", io_units);
       ("greedy", greedy_units);

@@ -245,6 +245,45 @@ let gen_props =
         let w v = (v * 7 mod 11) + 1 in
         let ms = Longest_path.makespan g ~weight:w in
         List.for_all (fun v -> ms >= w v) (Dag.vertices g));
+    prop "a plan's makespan equals the memoised recursion" 60 QCheck.(int_range 0 25) (fun n ->
+        let rng = rng_of (n + 3000) in
+        (* forward edges over a shuffled numbering, some of them
+           parallel, so vertex order is not a topological order *)
+        let perm = Array.init n (fun i -> i) in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let t = perm.(i) in
+          perm.(i) <- perm.(j);
+          perm.(j) <- t
+        done;
+        let edges = ref [] in
+        for i = 0 to n - 1 do
+          for j = i + 1 to n - 1 do
+            if Random.State.float rng 1. < 0.3 then edges := (perm.(i), perm.(j)) :: !edges;
+            if Random.State.float rng 1. < 0.05 then edges := (perm.(i), perm.(j)) :: !edges
+          done
+        done;
+        let g = Dag.of_edges ~n !edges in
+        let plan = Longest_path.plan g in
+        (* one plan, several weightings: the pass must not depend on
+           what the previous one left in its scratch *)
+        List.for_all
+          (fun _ ->
+            let w = Array.init n (fun _ -> Random.State.int rng 20) in
+            let memo = Array.make n None in
+            let rec finish v =
+              match memo.(v) with
+              | Some f -> f
+              | None ->
+                  let ready = List.fold_left (fun acc u -> max acc (finish u)) 0 (Dag.pred g v) in
+                  let f = w.(v) + ready in
+                  memo.(v) <- Some f;
+                  f
+            in
+            let naive = List.fold_left (fun acc v -> max acc (finish v)) 0 (Dag.vertices g) in
+            Longest_path.plan_makespan plan w = naive
+            && Longest_path.finish_times g ~weight:(fun v -> w.(v)) = Array.init n finish)
+          [ 1; 2; 3 ]);
   ]
 
 let () =

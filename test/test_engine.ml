@@ -312,6 +312,58 @@ let validation_units =
         | Error (Error.Certificate_mismatch { what = "approximation bound"; _ }) -> ()
         | Error e -> Alcotest.failf "wrong error class %s" (Error.class_name e)
         | Ok () -> Alcotest.fail "validator accepted a forged LP bound");
+    Alcotest.test_case "an LP budget above the budget is a Certificate_mismatch" `Quick (fun () ->
+        (* every job at its largest useful level, claiming an LP budget
+           equal to that allocation's use: the use then fits both
+           rungs' factor of the claimed LP budget, so the claim must be
+           refused for the LP budget itself exceeding the budget *)
+        let rng = rng_of 1904 in
+        let forged = ref 0 in
+        for _ = 1 to 20 do
+          let g = Gen.layered rng ~layers:3 ~width:3 ~edge_prob:0.4 in
+          let p =
+            Problem.make g ~durations:(fun _ ->
+                let t0 = 2 + Random.State.int rng 8 in
+                Rtt_duration.Duration.two_point ~t0 ~r:(1 + Random.State.int rng 3)
+                  ~t1:(Random.State.int rng t0))
+          in
+          let budget = 1 + Random.State.int rng 3 in
+          let allocation =
+            Array.init (Problem.n_jobs p) (fun v ->
+                Rtt_duration.Duration.max_useful_resource (Problem.duration p v))
+          in
+          let used = Schedule.min_budget p allocation in
+          if used > budget then begin
+            incr forged;
+            let bi = Bicriteria.min_makespan p ~budget ~alpha:Rat.half in
+            let bb = Binary_bicriteria.min_makespan p ~budget in
+            List.iter
+              (fun (rung, alpha, (lp : Lp_relax.solution)) ->
+                let claim =
+                  {
+                    Validate.rung;
+                    allocation;
+                    makespan = Schedule.makespan p allocation;
+                    budget_used = used;
+                    budget;
+                    alpha;
+                    lp_makespan = Some lp.Lp_relax.makespan;
+                    lp_budget = Some (Rat.of_int used);
+                  }
+                in
+                match Validate.check p claim with
+                | Error (Error.Certificate_mismatch { what = "LP budget"; _ }) -> ()
+                | Error e -> Alcotest.failf "wrong rejection: %s" (Error.to_string e)
+                | Ok () ->
+                    Alcotest.failf "%s: accepted an LP budget of %d over a budget of %d"
+                      (Policy.rung_name rung) used budget)
+              [
+                (Policy.Bicriteria, Some Rat.half, bi.Bicriteria.lp);
+                (Policy.Binary_bicriteria, None, bb.Binary_bicriteria.lp);
+              ]
+          end
+        done;
+        Alcotest.(check bool) "some allocations use more than the budget" true (!forged > 0));
     Alcotest.test_case "wrong-length allocation is a Certificate_mismatch" `Quick (fun () ->
         let p = fig45 () in
         let claim = plain_claim Policy.Baseline [| 0 |] 11 0 0 in
@@ -505,16 +557,22 @@ let cache_units =
     Alcotest.test_case "round-trip: a bicriteria result keeps its LP evidence" `Quick (fun () ->
         let p = fig45 () in
         let dir = fresh_dir "cache-bi" in
-        let s = check_ok "solve" (Engine.solve ~policy:[ Policy.Bicriteria ] p ~budget:2) in
-        let key = Fingerprint.digest ~policy:[ Policy.Bicriteria ] p ~budget:2 in
-        Cache.store ~dir ~key s;
-        match Cache.lookup ~dir ~key with
-        | None -> Alcotest.fail "expected a hit"
-        | Some c ->
-            Alcotest.(check bool) "lp_makespan kept" true (c.Engine.lp_makespan = s.Engine.lp_makespan);
-            (match Validate.check p (roundtrip_claim c ~budget:2) with
-            | Ok () -> ()
-            | Error e -> Alcotest.failf "re-validation rejected the hit: %s" (Error.to_string e)));
+        List.iter
+          (fun rung ->
+            let s = check_ok "solve" (Engine.solve ~policy:[ rung ] p ~budget:2) in
+            let key = Fingerprint.digest ~policy:[ rung ] p ~budget:2 in
+            Cache.store ~dir ~key s;
+            match Cache.lookup ~dir ~key with
+            | None -> Alcotest.fail "expected a hit"
+            | Some c -> (
+                Alcotest.(check bool)
+                  "lp_makespan kept" true
+                  (c.Engine.lp_makespan = s.Engine.lp_makespan);
+                match Validate.check p (roundtrip_claim c ~budget:2) with
+                | Ok () -> ()
+                | Error e ->
+                    Alcotest.failf "re-validation rejected the hit: %s" (Error.to_string e)))
+          [ Policy.Bicriteria; Policy.Binary_bicriteria ]);
     Alcotest.test_case "a corrupted entry is a miss, not a wrong answer" `Quick (fun () ->
         let p = fig45 () in
         let dir = fresh_dir "cache-corrupt" in
